@@ -28,7 +28,9 @@
 // (per-class index + independently compressed shard blobs). `list` and
 // `unpack-class` require a version-3 archive — they memory-map it and
 // touch only the index (list) or one shard's blob (unpack-class);
-// unpack/info/verify/stats accept any version.
+// unpack/info/verify/lint/stats accept any version, because they decode
+// through the library's one entry point (unpackArchive) and class-set
+// loader (loadClassSet).
 //
 // `--backend=<name>` on pack/stats selects the final compression stage
 // (store, zlib, huffman, arith); `tune` packs once per backend and
@@ -54,7 +56,8 @@
 // `--strip-unreferenced` on pack drops those dead private members (and
 // their pool entries) before encoding; the result is gated by a
 // restore-then-verify pass in the library and pack fails loudly if the
-// stripped archive does not restore cleanly.
+// stripped archive does not restore cleanly. It combines with
+// `--indexed`.
 //
 // Non-class members of the input jar are carried in a side jar, as §12
 // prescribes (the packed format handles classfiles only).
@@ -63,9 +66,9 @@
 
 #include "analysis/ArchiveAnalysis.h"
 #include "analysis/Verifier.h"
-#include "classfile/Reader.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
+#include "pack/ArchiveFormat.h"
 #include "pack/ArchiveReader.h"
 #include "pack/Model.h"
 #include "pack/Packer.h"
@@ -142,16 +145,6 @@ bool isClassName(const std::string &Name) {
          Name.compare(Name.size() - 6, 6, ".class") == 0;
 }
 
-/// Unpacks an archive of any format version into named classfiles via
-/// the library's version dispatch (cjpack::unpackAnyArchive), on the
-/// command line's worker count.
-Expected<std::vector<NamedClass>>
-unpackAnyArchive(const std::vector<uint8_t> &Bytes) {
-  UnpackOptions Options;
-  Options.Threads = NumThreads;
-  return cjpack::unpackAnyArchive(Bytes, Options);
-}
-
 /// Verifies one classfile, printing each diagnostic; returns the count.
 size_t verifyOneClass(const std::string &Name,
                       const std::vector<uint8_t> &Data) {
@@ -162,26 +155,6 @@ size_t verifyOneClass(const std::string &Name,
   return R.Diags.size();
 }
 
-/// Parses \p Classes, reporting parse failures as diagnostics into
-/// \p Diags (stamped with the source name); parsed classes land in
-/// \p Parsed with their source names parallel in \p Names.
-void parseClassSet(const std::vector<NamedClass> &Classes,
-                   std::vector<ClassFile> &Parsed,
-                   std::vector<std::string> &Names,
-                   std::vector<analysis::Diagnostic> &Diags) {
-  for (const NamedClass &C : Classes) {
-    auto CF = parseClassFile(C.Data);
-    if (!CF) {
-      Diags.push_back({analysis::DiagKind::MalformedCode, C.Name,
-                       analysis::NoOffset,
-                       "classfile does not parse: " + CF.message()});
-      continue;
-    }
-    Parsed.push_back(std::move(*CF));
-    Names.push_back(C.Name);
-  }
-}
-
 /// Whole-archive verification: builds the class hierarchy over every
 /// parseable class so reference joins track least-common-superclass
 /// types, then verifies each class. Prints diagnostics; returns the
@@ -190,7 +163,7 @@ size_t verifyClassSet(const std::vector<NamedClass> &Classes) {
   std::vector<ClassFile> Parsed;
   std::vector<std::string> Names;
   std::vector<analysis::Diagnostic> ParseDiags;
-  parseClassSet(Classes, Parsed, Names, ParseDiags);
+  parseClassSet(Classes, DecodeLimits(), Parsed, Names, ParseDiags);
   size_t NumDiags = ParseDiags.size();
   for (const analysis::Diagnostic &D : ParseDiags)
     fprintf(stderr, "packtool: %s: %s\n", D.Method.c_str(),
@@ -208,37 +181,21 @@ size_t verifyClassSet(const std::vector<NamedClass> &Classes) {
 
 /// Loads every classfile of a .class / .jar / .cjp input as named raw
 /// bytes. Prints a message and returns false on a hard error.
-bool loadClassInputs(const std::string &InPath,
-                     const std::vector<uint8_t> &Bytes,
-                     std::vector<NamedClass> &Out) {
-  if (Bytes.size() >= 4 && Bytes[0] == 0xCA && Bytes[1] == 0xFE &&
-      Bytes[2] == 0xBA && Bytes[3] == 0xBE) {
-    NamedClass C;
-    C.Name = InPath;
-    C.Data = Bytes;
-    Out.push_back(std::move(C));
-    return true;
-  }
-  if (Bytes.size() >= 4 && Bytes[0] == 'C' && Bytes[1] == 'J') {
-    auto Classes = unpackAnyArchive(Bytes);
-    if (!Classes) {
-      fprintf(stderr, "packtool: %s\n", Classes.message().c_str());
-      return false;
-    }
-    Out = std::move(*Classes);
-    return true;
-  }
-  auto Entries = readZip(Bytes);
-  if (!Entries) {
-    fprintf(stderr,
-            "packtool: %s is neither a classfile, a packed archive, "
-            "nor a zip\n",
-            InPath.c_str());
+bool loadClassInput(const std::string &InPath,
+                    std::vector<NamedClass> &Out) {
+  std::vector<uint8_t> Bytes;
+  if (!readFile(InPath, Bytes)) {
+    fprintf(stderr, "packtool: cannot read %s\n", InPath.c_str());
     return false;
   }
-  for (ZipEntry &E : *Entries)
-    if (isClassName(E.Name))
-      Out.push_back(std::move(E));
+  UnpackOptions Options;
+  Options.Threads = NumThreads;
+  auto Classes = loadClassSet(Bytes, InPath, Options);
+  if (!Classes) {
+    fprintf(stderr, "packtool: %s\n", Classes.message().c_str());
+    return false;
+  }
+  Out = std::move(*Classes);
   return true;
 }
 
@@ -311,7 +268,7 @@ int cmdUnpack(const std::string &InPath, const std::string &OutPath) {
     fprintf(stderr, "packtool: cannot read %s\n", InPath.c_str());
     return 1;
   }
-  auto Classes = unpackAnyArchive(Bytes);
+  auto Classes = unpackArchive(Bytes, NumThreads);
   if (!Classes) {
     fprintf(stderr, "packtool: %s\n", Classes.message().c_str());
     return 1;
@@ -397,8 +354,8 @@ int cmdInfo(const std::string &InPath) {
     fprintf(stderr, "packtool: cannot read %s\n", InPath.c_str());
     return 1;
   }
-  if (Bytes.size() >= 4 && Bytes[0] == 'C' && Bytes[1] == 'J') {
-    auto Classes = unpackAnyArchive(Bytes);
+  if (hasArchiveMagic(Bytes)) {
+    auto Classes = unpackArchive(Bytes, NumThreads);
     if (!Classes) {
       fprintf(stderr, "packtool: %s\n", Classes.message().c_str());
       return 1;
@@ -438,13 +395,8 @@ int cmdVerify(const std::vector<std::string> &Args) {
     fprintf(stderr, "usage: packtool verify [--warn] <in.class|jar|cjp>\n");
     return 2;
   }
-  std::vector<uint8_t> Bytes;
-  if (!readFile(InPath, Bytes)) {
-    fprintf(stderr, "packtool: cannot read %s\n", InPath.c_str());
-    return 1;
-  }
   std::vector<NamedClass> Classes;
-  if (!loadClassInputs(InPath, Bytes, Classes))
+  if (!loadClassInput(InPath, Classes))
     return 1;
   size_t NumDiags = verifyClassSet(Classes);
   printf("%s: %zu classes verified, %zu diagnostics\n", InPath.c_str(),
@@ -488,18 +440,13 @@ int cmdLint(const std::vector<std::string> &Args) {
             "usage: packtool lint [--json] [--strict] <in.class|jar|cjp>\n");
     return 2;
   }
-  std::vector<uint8_t> Bytes;
-  if (!readFile(InPath, Bytes)) {
-    fprintf(stderr, "packtool: cannot read %s\n", InPath.c_str());
-    return 1;
-  }
   std::vector<NamedClass> Classes;
-  if (!loadClassInputs(InPath, Bytes, Classes))
+  if (!loadClassInput(InPath, Classes))
     return 1;
   std::vector<ClassFile> Parsed;
   std::vector<std::string> Names;
   std::vector<analysis::Diagnostic> Diags;
-  parseClassSet(Classes, Parsed, Names, Diags);
+  parseClassSet(Classes, DecodeLimits(), Parsed, Names, Diags);
   analysis::ArchiveAnalysisReport Report = analysis::analyzeArchive(Parsed);
   Diags.insert(Diags.end(), Report.Diags.begin(), Report.Diags.end());
 
@@ -704,7 +651,7 @@ int cmdStats(const std::vector<std::string> &Args) {
     return 1;
   }
 
-  if (Bytes.size() >= 4 && Bytes[0] == 'C' && Bytes[1] == 'J') {
+  if (hasArchiveMagic(Bytes)) {
     // Existing archive: read the composition off the wire. No item
     // counts — those are encoder telemetry, not wire data.
     auto Stats = statPackedArchive(Bytes);
@@ -858,7 +805,7 @@ int cmdTune(const std::string &InPath, const std::string &OutPath) {
       // parse/model/emit are backend-independent) plus a timed unpack,
       // per packed byte so backends compete on rate, not output size.
       auto T0 = std::chrono::steady_clock::now();
-      auto Restored = unpackAnyArchive(Packed->Archive);
+      auto Restored = unpackArchive(Packed->Archive, NumThreads);
       double DecodeSec = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - T0)
                              .count();
@@ -910,8 +857,8 @@ int cmdTune(const std::string &InPath, const std::string &OutPath) {
   }
 
   // The tuned archive must restore exactly what the default one does.
-  auto Want = unpackAnyArchive(DefaultArchive);
-  auto Got = unpackAnyArchive(Tuned->Archive);
+  auto Want = unpackArchive(DefaultArchive, NumThreads);
+  auto Got = unpackArchive(Tuned->Archive, NumThreads);
   if (!Want || !Got) {
     fprintf(stderr, "packtool: tune verification unpack failed: %s\n",
             (!Want ? Want.message() : Got.message()).c_str());

@@ -6,10 +6,10 @@
 //
 // Feeds arbitrary bytes to PackedArchiveReader, covering the version-3
 // header, the per-class index frame, the shared dictionary, lazy shard
-// setup, and single-class materialization — the whole random-access
-// surface that fuzz_unpack (which rejects version 3 at the header) never
-// reaches. Exercises both the point lookup and the full sweep so every
-// shard decodes. Any outcome but a clean Expected is a bug.
+// setup, and single-class materialization — the random-access surface.
+// Where fuzz_unpack reaches the reader only through the full sweep,
+// this target also drives the point lookup, so a shard can decode a
+// prefix before the sweep. Any outcome but a clean Expected is a bug.
 //
 //===----------------------------------------------------------------------===//
 

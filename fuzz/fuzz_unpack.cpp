@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // Feeds arbitrary bytes to unpackClasses, covering the archive header,
-// both wire-format versions, the shared dictionary, the sharded stream
-// container, and the full reference/bytecode decode path. Any outcome
-// but a clean Expected is a bug.
+// all three wire-format versions (version 3 through the lazy reader),
+// the shared dictionary, the sharded stream container, and the full
+// reference/bytecode decode path. Any outcome but a clean Expected is a
+// bug.
 //
 //===----------------------------------------------------------------------===//
 

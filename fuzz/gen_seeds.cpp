@@ -103,9 +103,10 @@ int main(int Argc, char **Argv) {
     writeSeed(Out / "fuzz_unpack", V.Name, Packed->Archive);
   }
 
-  // fuzz_reader: version-3 indexed archives across shard counts and
-  // both stream-compression settings, so mutation starts from inputs
-  // whose index, dictionary, and blob framing all validate.
+  // fuzz_reader and fuzz_unpack: version-3 indexed archives across
+  // shard counts and both stream-compression settings, so mutation
+  // starts from inputs whose index, dictionary, and blob framing all
+  // validate. unpackClasses decodes version 3 too, through the reader.
   struct {
     const char *Name;
     unsigned Shards;
@@ -127,6 +128,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     writeSeed(Out / "fuzz_reader", V.Name, Packed->Archive);
+    writeSeed(Out / "fuzz_unpack", V.Name, Packed->Archive);
   }
 
   // fuzz_zip: stored and deflated jars plus a gzip frame.

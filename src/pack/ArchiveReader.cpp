@@ -6,10 +6,8 @@
 
 #include "pack/ArchiveReader.h"
 #include "pack/Materialize.h"
-#include "pack/Preload.h"
 #include "pack/Streams.h"
 #include "pack/Transcode.h"
-#include "support/VarInt.h"
 
 using namespace cjpack;
 
@@ -54,78 +52,28 @@ Expected<PackedArchiveReader>
 PackedArchiveReader::open(const uint8_t *Data, size_t Size,
                           const DecodeLimits &Limits) {
   PackedArchiveReader Rd;
-  Rd.Data = Data;
-  Rd.Size = Size;
+  Rd.Archive = {Data, Size};
   Rd.Limits = Limits;
   Rd.Budget.reset(new DecodeBudget(Limits));
   Rd.StatesMu.reset(new std::mutex());
 
   ByteReader R(Data, Size);
-  if (R.readU4() != 0x434A504Bu)
-    return makeError(R.hasError() ? ErrorCode::Truncated
-                                  : ErrorCode::Corrupt,
-                     "reader: bad magic");
-  uint8_t Version = R.readU1();
-  uint8_t SchemeByte = R.readU1();
-  uint8_t Flags = R.readU1();
-  if (R.hasError())
-    return makeError(ErrorCode::Truncated,
-                     "reader: truncated archive header");
-  if (Version == FormatVersionSerial || Version == FormatVersionSharded)
+  auto Header = readArchiveHeader(R);
+  if (!Header)
+    return Header.takeError();
+  if (Header->Version != FormatVersionIndexed)
     return makeError(ErrorCode::VersionMismatch,
-                     "reader: version " + std::to_string(Version) +
+                     "reader: version " + std::to_string(Header->Version) +
                          " archive has no index; decode it with "
                          "unpackClasses");
-  if (Version != FormatVersionIndexed)
-    return makeError(ErrorCode::VersionMismatch,
-                     "reader: unsupported format version " +
-                         std::to_string(Version));
-  if (SchemeByte > static_cast<uint8_t>(RefScheme::MtfTransientsContext))
-    return makeError(ErrorCode::Corrupt,
-                     "reader: unknown reference scheme");
-  if (((Flags >> BackendFlagShift) & BackendFlagMask) > ArchiveBackendMixed)
-    return makeError(ErrorCode::Corrupt,
-                     "reader: unknown archive backend code");
-  Rd.Scheme = static_cast<RefScheme>(SchemeByte);
-  Rd.Flags = Flags;
+  Rd.Header = *Header;
 
-  uint64_t IndexLen = readVarUInt(R);
-  if (R.hasError())
-    return R.takeError("reader");
-  if (IndexLen > R.remaining())
-    return makeError(ErrorCode::Truncated,
-                     "reader: index frame extends past end of archive");
-  if (IndexLen > Limits.MaxStreamBytes)
-    return makeError(ErrorCode::LimitExceeded,
-                     "reader: index frame length over limit");
-  ByteReader IndexR(Data + R.position(), static_cast<size_t>(IndexLen));
-  auto Idx = ArchiveIndex::deserialize(IndexR, Limits);
-  if (!Idx)
-    return Idx.takeError();
-  Rd.Index = std::move(*Idx);
-  R.skip(static_cast<size_t>(IndexLen));
-
-  // The dictionary frame is self-describing; a compressed one is the
-  // only inflate open() ever charges.
-  ByteReader DictR(Data + R.position(), R.remaining());
-  auto Dict = SharedDictionary::deserialize(DictR, Limits, Rd.Budget.get());
-  if (!Dict)
-    return Dict.takeError();
-  Rd.Dict = std::move(*Dict);
-  Rd.BlobBase = R.position() + DictR.position();
-
-  // The shard extents must tile the remainder of the archive exactly;
-  // the index already proved them contiguous from zero.
-  uint64_t BlobBytes = Rd.Index.blobBytes();
-  uint64_t Region = Size - Rd.BlobBase;
-  if (BlobBytes > Region)
-    return makeError(ErrorCode::Truncated,
-                     "reader: shard blobs extend past end of archive");
-  if (BlobBytes < Region)
-    return makeError(ErrorCode::Corrupt,
-                     "reader: trailing bytes after shard blobs");
-
-  Rd.States.resize(Rd.Index.Shards.size());
+  // The dictionary frame is the only inflate open() ever charges.
+  auto Frames = readIndexedFrames(R, Limits, Rd.Budget.get());
+  if (!Frames)
+    return Frames.takeError();
+  Rd.Frames = std::move(*Frames);
+  Rd.States.resize(Rd.Frames.Index.Shards.size());
   return Rd;
 }
 
@@ -137,24 +85,17 @@ PackedArchiveReader::ShardState *PackedArchiveReader::shardSlot(size_t K) {
 }
 
 Error PackedArchiveReader::prepareShardLocked(ShardState &St, size_t K) {
-  const ArchiveIndex::ShardExtent &E = Index.Shards[K];
-  ByteReader R(Data + BlobBase + E.Offset, static_cast<size_t>(E.Length));
+  ByteReader R(Frames.blob(Archive, K));
   if (auto Err = St.S.deserialize(R, Limits, Budget.get()))
     return Err;
   if (!R.atEnd())
     return makeError(ErrorCode::Corrupt,
                      "reader: trailing bytes in shard blob");
-  St.Dec = makeRefDecoder(Scheme);
-  if (Flags & 4)
-    if (!preloadStandardRefs(St.M, *St.Dec, Scheme))
-      return makeError(ErrorCode::Corrupt,
-                       "reader: archive needs preloaded references "
-                       "the scheme cannot provide");
-  if (!Dict.empty() && !preloadDictionary(St.M, *St.Dec, Dict))
-    return makeError(ErrorCode::Corrupt,
-                     "reader: archive dictionary needs a scheme "
-                     "that supports preloaded references");
-  St.Ctx.reset(new DecodeContext{St.M, *St.Dec, St.S, Scheme, Limits});
+  St.Dec = makeRefDecoder(Header.Scheme);
+  if (auto Err = seedShardModel(St.M, *St.Dec, Header, &Frames.Dict))
+    return Err;
+  St.Ctx.reset(
+      new DecodeContext{St.M, *St.Dec, St.S, Header.Scheme, Limits});
   St.T.reset(new Transcriber<DecodeContext>(*St.Ctx));
   return St.T->beginArchive(St.Declared);
 }
@@ -200,7 +141,7 @@ PackedArchiveReader::materializeEntry(const ArchiveIndex::ClassEntry &E) {
 
 Expected<ClassFile>
 PackedArchiveReader::unpackClass(const std::string &InternalName) {
-  const ArchiveIndex::ClassEntry *E = Index.find(InternalName);
+  const ArchiveIndex::ClassEntry *E = Frames.Index.find(InternalName);
   if (!E)
     return Error::failure("reader: class '" + InternalName +
                           "' not in archive index");
@@ -209,8 +150,8 @@ PackedArchiveReader::unpackClass(const std::string &InternalName) {
 
 Expected<std::vector<ClassFile>> PackedArchiveReader::unpackAll() {
   std::vector<ClassFile> Out;
-  Out.reserve(Index.Classes.size());
-  for (const ArchiveIndex::ClassEntry &E : Index.Classes) {
+  Out.reserve(Frames.Index.Classes.size());
+  for (const ArchiveIndex::ClassEntry &E : Frames.Index.Classes) {
     auto CF = materializeEntry(E);
     if (!CF)
       return CF.takeError();
@@ -221,8 +162,8 @@ Expected<std::vector<ClassFile>> PackedArchiveReader::unpackAll() {
 
 std::vector<std::string> PackedArchiveReader::classNames() const {
   std::vector<std::string> Names;
-  Names.reserve(Index.Classes.size());
-  for (const ArchiveIndex::ClassEntry &E : Index.Classes)
+  Names.reserve(Frames.Index.Classes.size());
+  for (const ArchiveIndex::ClassEntry &E : Frames.Index.Classes)
     Names.push_back(E.Name);
   return Names;
 }

@@ -7,8 +7,8 @@
 /// \file
 /// Random access into a version-3 packed archive. A PackedArchiveReader
 /// wraps a stable byte span (typically an InputFile's mmap), parses only
-/// the header, index, and dictionary frames up front, and decodes shard
-/// blobs on demand:
+/// the header, index, and dictionary frames up front (through the shared
+/// codec of ArchiveFormat.h), and decodes shard blobs on demand:
 ///
 /// \code
 ///   auto F = InputFile::open("app.cjp");
@@ -54,13 +54,13 @@
 
 #include "classfile/ClassFile.h"
 #include "coder/RefCoder.h"
-#include "pack/ArchiveIndex.h"
-#include "pack/Dictionary.h"
+#include "pack/ArchiveFormat.h"
 #include "support/DecodeLimits.h"
 #include "support/Error.h"
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,9 +71,9 @@ public:
   /// Opens a version-3 archive over \p Data (not copied, not owned).
   /// Validates the header, index frame, and dictionary frame, and that
   /// the shard extents exactly tile the rest of the archive. Rejects
-  /// version-1/2 archives with a typed VersionMismatch error — those
-  /// are decoded whole by unpackClasses. Inflates nothing except a
-  /// compressed dictionary frame.
+  /// version-1/2 archives, which have no index, with a typed
+  /// VersionMismatch error (unpackClasses decodes every version).
+  /// Inflates nothing except a compressed dictionary frame.
   static Expected<PackedArchiveReader>
   open(const uint8_t *Data, size_t Size, const DecodeLimits &Limits = {});
   static Expected<PackedArchiveReader>
@@ -87,7 +87,7 @@ public:
 
   /// The archive's per-class index (class names in archive order,
   /// shard extents). Reading it costs no decoding.
-  const ArchiveIndex &index() const { return Index; }
+  const ArchiveIndex &index() const { return Frames.Index; }
 
   /// Class internal names in archive order, from the index alone.
   std::vector<std::string> classNames() const;
@@ -99,7 +99,9 @@ public:
   Expected<ClassFile> unpackClass(const std::string &InternalName);
 
   /// Decodes every indexed class, in archive order. Equivalent to
-  /// unpackClass over classNames(), sharing the same shard cache.
+  /// unpackClass over classNames(), sharing the same shard cache. This
+  /// is how unpackClasses decodes version 3: materialized classes own
+  /// their bytes, so they outlive the reader.
   Expected<std::vector<ClassFile>> unpackAll();
 
   /// Total inflate output charged so far (dictionary + every shard
@@ -108,9 +110,9 @@ public:
   /// full unpack of a multi-shard compressed archive charges.
   uint64_t inflatedBytes() const;
 
-  RefScheme scheme() const { return Scheme; }
-  size_t shardCount() const { return Index.Shards.size(); }
-  size_t classCount() const { return Index.Classes.size(); }
+  RefScheme scheme() const { return Header.Scheme; }
+  size_t shardCount() const { return Frames.Index.Shards.size(); }
+  size_t classCount() const { return Frames.Index.Classes.size(); }
 
 private:
   struct ShardState;
@@ -133,14 +135,10 @@ private:
   /// Materializes one indexed class entry from its decoded record.
   Expected<ClassFile> materializeEntry(const ArchiveIndex::ClassEntry &E);
 
-  const uint8_t *Data = nullptr;
-  size_t Size = 0;
-  size_t BlobBase = 0;
-  RefScheme Scheme = RefScheme::Basic;
-  uint8_t Flags = 0;
+  std::span<const uint8_t> Archive;
+  ArchiveHeader Header;
+  IndexedFrames Frames;
   DecodeLimits Limits;
-  ArchiveIndex Index;
-  SharedDictionary Dict;
   /// unique_ptr because the spend counter is atomic (not movable).
   std::unique_ptr<DecodeBudget> Budget;
   /// Guards lazy creation of States slots (unique_ptr so the reader

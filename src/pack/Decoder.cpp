@@ -10,24 +10,24 @@
 // the same order, the same approximate stack state machine resolves
 // collapsed pseudo-opcodes, and the reference decoder's queues evolve in
 // lock step with the encoder's. This file owns what is genuinely
-// decode-only: archive-level orchestration (header, dictionary, shards).
-// Classfile materialization — §9 ldc-first constant placement and the
-// §12 canonical pool — lives in Materialize.cpp, shared with the lazy
-// PackedArchiveReader.
+// decode-only: archive-level orchestration (dictionary, shards, and the
+// version dispatch that sends version 3 through PackedArchiveReader).
+// The header and frame codec lives in ArchiveFormat.cpp; classfile
+// materialization — §9 ldc-first constant placement and the §12
+// canonical pool — lives in Materialize.cpp. Both are shared with the
+// lazy reader.
 //
 //===----------------------------------------------------------------------===//
 
-#include "classfile/Transform.h"
+#include "classfile/Reader.h"
 #include "classfile/Writer.h"
 #include "pack/ArchiveReader.h"
-#include "pack/Dictionary.h"
 #include "pack/Materialize.h"
 #include "pack/Packer.h"
-#include "pack/Preload.h"
 #include "pack/Transcode.h"
 #include "support/ThreadPool.h"
 #include "zip/Manifest.h"
-#include <optional>
+#include "zip/ZipFile.h"
 
 using namespace cjpack;
 
@@ -40,23 +40,15 @@ namespace {
 /// shared dictionary, may be null) is replayed into each shard's model
 /// before decoding, mirroring the encoder.
 Expected<std::vector<ClassFile>>
-decodeShardStreams(StreamSet &S, RefScheme Scheme, uint8_t Flags,
+decodeShardStreams(StreamSet &S, const ArchiveHeader &H,
                    const SharedDictionary *Dict,
                    const DecodeLimits &Limits) {
-  auto Dec = makeRefDecoder(Scheme);
+  auto Dec = makeRefDecoder(H.Scheme);
   Model M;
-  if (Flags & 4) {
-    if (!preloadStandardRefs(M, *Dec, Scheme))
-      return makeError(ErrorCode::Corrupt,
-                       "unpack: archive needs preloaded references "
-                       "the scheme cannot provide");
-  }
-  if (Dict && !preloadDictionary(M, *Dec, *Dict))
-    return makeError(ErrorCode::Corrupt,
-                     "unpack: archive dictionary needs a scheme "
-                     "that supports preloaded references");
+  if (auto E = seedShardModel(M, *Dec, H, Dict))
+    return E;
 
-  DecodeContext C{M, *Dec, S, Scheme, Limits};
+  DecodeContext C{M, *Dec, S, H.Scheme, Limits};
   Transcriber<DecodeContext> Reader(C);
   std::vector<ClassRec> Decoded;
   if (auto E = Reader.transcodeArchive(Decoded))
@@ -88,43 +80,31 @@ cjpack::unpackClasses(std::span<const uint8_t> Archive,
                       const UnpackOptions &Options) {
   const DecodeLimits &Limits = Options.Limits;
   ByteReader R(Archive);
-  if (R.readU4() != 0x434A504Bu)
-    return makeError(R.hasError() ? ErrorCode::Truncated
-                                  : ErrorCode::Corrupt,
-                     "unpack: bad magic");
-  uint8_t Version = R.readU1();
-  if (Version == FormatVersionIndexed)
-    return makeError(ErrorCode::VersionMismatch,
-                     "unpack: version-3 indexed archive; open it with "
-                     "PackedArchiveReader");
-  if (Version != FormatVersionSerial && Version != FormatVersionSharded)
-    return makeError(ErrorCode::VersionMismatch,
-                     "unpack: unsupported format version " +
-                         std::to_string(Version));
-  uint8_t Scheme = R.readU1();
-  if (Scheme > static_cast<uint8_t>(RefScheme::MtfTransientsContext))
-    return makeError(ErrorCode::Corrupt, "unpack: unknown reference scheme");
-  uint8_t Flags = R.readU1();
-  if (R.hasError())
-    return makeError(ErrorCode::Truncated,
-                     "unpack: truncated archive header");
-  if (((Flags >> BackendFlagShift) & BackendFlagMask) > ArchiveBackendMixed)
-    return makeError(ErrorCode::Corrupt,
-                     "unpack: unknown archive backend code");
+  auto Header = readArchiveHeader(R);
+  if (!Header)
+    return Header.takeError();
+  const ArchiveHeader &H = *Header;
 
-  if (Version == FormatVersionSerial) {
-    ByteReader Body(Archive.data() + R.position(), R.remaining());
+  if (H.Version == FormatVersionIndexed) {
+    // The reader runs every index check. Materialized classes own their
+    // bytes, so they outlive it.
+    auto Reader =
+        PackedArchiveReader::open(Archive.data(), Archive.size(), Limits);
+    if (!Reader)
+      return Reader.takeError();
+    return Reader->unpackAll();
+  }
+
+  if (H.Version == FormatVersionSerial) {
     StreamSet S;
-    if (auto E = S.deserialize(Body, Limits))
+    if (auto E = S.deserialize(R, Limits))
       return E;
-    return decodeShardStreams(S, static_cast<RefScheme>(Scheme), Flags,
-                              /*Dict=*/nullptr, Limits);
+    return decodeShardStreams(S, H, /*Dict=*/nullptr, Limits);
   }
 
   auto Dict = SharedDictionary::deserialize(R, Limits);
   if (!Dict)
     return Dict.takeError();
-  const SharedDictionary *DictPtr = Dict->empty() ? nullptr : &*Dict;
 
   auto Shards = deserializeShardedStreams(R, Limits);
   if (!Shards)
@@ -139,10 +119,8 @@ cjpack::unpackClasses(std::span<const uint8_t> Archive,
     for (StreamSet &S : *Shards) {
       StreamSet *Streams = &S;
       Futures.push_back(
-          Pool.submit([Streams, Scheme, Flags, DictPtr, &Limits] {
-            return decodeShardStreams(*Streams,
-                                      static_cast<RefScheme>(Scheme), Flags,
-                                      DictPtr, Limits);
+          Pool.submit([Streams, &H, &Dict, &Limits] {
+            return decodeShardStreams(*Streams, H, &*Dict, Limits);
           }));
     }
   }
@@ -192,25 +170,41 @@ cjpack::unpackArchive(std::span<const uint8_t> Archive,
 }
 
 Expected<std::vector<NamedClass>>
-cjpack::unpackAnyArchive(std::span<const uint8_t> Archive,
-                         const UnpackOptions &Options) {
-  if (Archive.size() > 4 && Archive[4] == FormatVersionIndexed) {
-    auto Reader = PackedArchiveReader::open(Archive.data(), Archive.size(),
-                                            Options.Limits);
-    if (!Reader)
-      return Reader.takeError();
-    auto Classes = Reader->unpackAll();
-    if (!Classes)
-      return Classes.takeError();
-    std::vector<NamedClass> Out;
-    Out.reserve(Classes->size());
-    for (const ClassFile &CF : *Classes) {
-      NamedClass C;
-      C.Name = std::string(CF.thisClassName()) + ".class";
-      C.Data = writeClassFile(CF);
-      Out.push_back(std::move(C));
+cjpack::loadClassSet(std::span<const uint8_t> Bytes, const std::string &Name,
+                     const UnpackOptions &Options) {
+  ByteReader R(Bytes);
+  if (R.readU4() == 0xCAFEBABEu && !R.hasError())
+    return std::vector<NamedClass>{
+        {Name, std::vector<uint8_t>(Bytes.begin(), Bytes.end())}};
+  if (hasArchiveMagic(Bytes))
+    return unpackArchive(Bytes, Options);
+  auto Entries = readZip(Bytes, Options.Limits);
+  if (!Entries)
+    return makeError(Entries.code(),
+                     Name + " is neither a classfile, a packed archive, "
+                            "nor a zip: " +
+                         Entries.message());
+  std::vector<NamedClass> Classes;
+  for (ZipEntry &E : *Entries)
+    if (E.Name.size() > 6 && E.Name.ends_with(".class"))
+      Classes.push_back(std::move(E));
+  return Classes;
+}
+
+void cjpack::parseClassSet(const std::vector<NamedClass> &Classes,
+                           const DecodeLimits &Limits,
+                           std::vector<ClassFile> &Parsed,
+                           std::vector<std::string> &Names,
+                           std::vector<analysis::Diagnostic> &Diags) {
+  for (const NamedClass &C : Classes) {
+    auto CF = parseClassFile(C.Data, Limits);
+    if (!CF) {
+      Diags.push_back({analysis::DiagKind::MalformedCode, C.Name,
+                       analysis::NoOffset,
+                       "classfile does not parse: " + CF.message()});
+      continue;
     }
-    return Out;
+    Parsed.push_back(std::move(*CF));
+    Names.push_back(C.Name);
   }
-  return unpackArchive(Archive, Options);
 }

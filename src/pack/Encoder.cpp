@@ -22,7 +22,7 @@
 #include "classfile/Reader.h"
 #include "classfile/Transform.h"
 #include "classfile/Writer.h"
-#include "pack/ArchiveIndex.h"
+#include "pack/ArchiveFormat.h"
 #include "pack/ClassOrder.h"
 #include "pack/Dictionary.h"
 #include "pack/Packer.h"
@@ -586,27 +586,20 @@ ShardPlan remapPlanForDictionary(ShardPlan Plan,
   return Out;
 }
 
-/// The common archive header (shared by all format versions).
-void writeArchiveHeader(ByteWriter &W, uint8_t Version,
-                        const PackOptions &Options) {
-  W.writeU4(0x434A504Bu); // "CJPK"
-  W.writeU1(Version);
-  W.writeU1(static_cast<uint8_t>(Options.Scheme));
-  uint8_t Flags = 0;
-  if (Options.CollapseOpcodes)
-    Flags |= 1;
+/// The archive header \p Options describe, for format \p Version.
+ArchiveHeader archiveHeader(uint8_t Version, const PackOptions &Options) {
+  // The whole-archive backend choice; zlib (the default) maps to 0,
+  // keeping historical archives bit-identical.
+  uint8_t Backend = 0;
   if (Options.CompressStreams)
-    Flags |= 2;
-  if (Options.PreloadStandardRefs)
-    Flags |= 4;
-  // Bits 3..5 advertise the whole-archive backend choice; zlib (the
-  // default) maps to 0, keeping historical archives bit-identical.
-  if (Options.CompressStreams)
-    Flags |= static_cast<uint8_t>(
-        (Options.StreamBackends ? ArchiveBackendMixed
-                                : archiveBackendCode(Options.Backend))
-        << BackendFlagShift);
-  W.writeU1(Flags);
+    Backend = Options.StreamBackends ? ArchiveBackendMixed
+                                     : archiveBackendCode(Options.Backend);
+  return {.Version = Version,
+          .Scheme = Options.Scheme,
+          .CollapseOpcodes = Options.CollapseOpcodes,
+          .CompressStreams = Options.CompressStreams,
+          .PreloadStandardRefs = Options.PreloadStandardRefs,
+          .BackendCode = Backend};
 }
 
 } // namespace
@@ -680,35 +673,6 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
                               "' not representable in an indexed archive");
   }
 
-  if (ShardCount <= 1 && !Options.RandomAccessIndex) {
-    // Original single-shard wire format, byte-identical to version 1.
-    Stopwatch Timer;
-    auto Plan = countShardPass(Ordered, Options);
-    if (!Plan)
-      return Plan.takeError();
-    Result.Trace.Phases.ModelSec = Timer.seconds();
-
-    Timer.restart();
-    std::array<uint64_t, NumStreams> Items{};
-    auto S = emitShardStreams(*Plan, /*Dict=*/nullptr, Options, &Items,
-                              &Result.Trace.Coder);
-    if (!S)
-      return S.takeError();
-    Result.Trace.Phases.EmitSec = Timer.seconds();
-    Result.Trace.Shards.push_back({/*Shard=*/0, Ordered.size(),
-                                   Result.Trace.Phases.ModelSec,
-                                   Result.Trace.Phases.EmitSec});
-
-    Timer.restart();
-    ByteWriter W;
-    writeArchiveHeader(W, FormatVersionSerial, Options);
-    W.writeBytes(S->serialize(Options.backendPlan(), &Result.Sizes));
-    Result.Sizes.Items = Items;
-    Result.Archive = W.take();
-    Result.Trace.Phases.DeflateSec = Timer.seconds();
-    return Result;
-  }
-
   std::vector<std::vector<const ClassFile *>> Slices(ShardCount);
   size_t Base = Ordered.size() / ShardCount;
   size_t Extra = Ordered.size() % ShardCount;
@@ -737,7 +701,11 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     Result.Trace.Shards[K].Classes = Slices[K].size();
   }
 
-  ThreadPool Pool(Options.Threads);
+  // No more workers than shards: one shard runs on one worker.
+  unsigned Workers =
+      Options.Threads ? Options.Threads : ThreadPool::defaultThreadCount();
+  ThreadPool Pool(static_cast<unsigned>(
+      std::min<size_t>(Workers, ShardCount)));
 
   // Counting passes run one per shard, concurrently.
   Stopwatch ModelTimer;
@@ -805,16 +773,21 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
   }
   Result.Trace.Phases.EmitSec = EmitTimer.seconds();
 
+  // Only now does the format version matter: every version shares the
+  // pipeline above and differs in how the shard streams are framed.
   Stopwatch DeflateTimer;
+  uint8_t Version = Options.RandomAccessIndex ? FormatVersionIndexed
+                    : ShardCount == 1         ? FormatVersionSerial
+                                              : FormatVersionSharded;
   ByteWriter W;
-  if (Options.RandomAccessIndex) {
+  writeArchiveHeader(W, archiveHeader(Version, Options));
+  if (Version == FormatVersionIndexed) {
     // Version 3: header, per-class index, dictionary frame, then each
     // shard's streams serialized as an independent self-contained blob
     // (the v1 stream body), so a reader can inflate one shard without
     // touching the others. Per-blob compression costs a little ratio
     // versus v2's joint per-stream compression — that is the price of
     // random access.
-    writeArchiveHeader(W, FormatVersionIndexed, Options);
     std::vector<std::vector<uint8_t>> Blobs;
     Blobs.reserve(ShardCount);
     ArchiveIndex Index;
@@ -841,12 +814,18 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     Result.DictionaryBytes = W.size() - DictStart;
     for (const std::vector<uint8_t> &B : Blobs)
       W.writeBytes(B);
-  } else {
-    writeArchiveHeader(W, FormatVersionSharded, Options);
+  } else if (Version == FormatVersionSharded) {
+    size_t DictStart = W.size();
     Dict.serialize(W, Options.CompressStreams);
-    Result.DictionaryBytes = W.size() - 7;
+    Result.DictionaryBytes = W.size() - DictStart;
     W.writeBytes(serializeShardedStreams(ShardStreams, Options.backendPlan(),
                                          &Result.Sizes));
+  } else {
+    // Version 1: the lone shard's streams, with no dictionary frame —
+    // one shard shares definitions with nobody.
+    assert(Dict.empty() && "a single shard has no shared dictionary");
+    W.writeBytes(ShardStreams[0].serialize(Options.backendPlan(),
+                                           &Result.Sizes));
   }
   Result.Archive = W.take();
   Result.Trace.Phases.DeflateSec = DeflateTimer.seconds();

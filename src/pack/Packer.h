@@ -16,15 +16,17 @@
 ///   auto Restored = unpackArchive(Packed->Archive);  // NamedClass list
 /// \endcode
 ///
-/// Unpacking is deterministic: the same archive always reproduces the
-/// identical classfiles (§12), which are the prepareForPacking-canonical
-/// form of the inputs.
+/// unpackClasses/unpackArchive are the one decode entry point: they take
+/// every format version. Unpacking is deterministic: the same archive
+/// always reproduces the identical classfiles (§12), which are the
+/// prepareForPacking-canonical form of the inputs.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CJPACK_PACK_PACKER_H
 #define CJPACK_PACK_PACKER_H
 
+#include "analysis/Diagnostics.h"
 #include "classfile/ClassFile.h"
 #include "coder/RefCoder.h"
 #include "pack/Streams.h"
@@ -36,6 +38,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace cjpack {
@@ -78,7 +81,7 @@ struct PackOptions {
   /// reproduce across machines.
   unsigned Shards = 1;
   /// Worker threads used to encode shards (0 = one per hardware
-  /// thread). Has no effect on the output bytes.
+  /// thread), capped at the shard count. Has no effect on the bytes.
   unsigned Threads = 0;
   /// Drop private members (and, via re-canonicalization, their
   /// constant-pool entries) that no reference anywhere in the archive
@@ -172,14 +175,17 @@ struct UnpackOptions {
   DecodeLimits Limits;
 };
 
-/// Unpacks an archive into classfile models, in archive order. Sharded
-/// archives decode their shards on \p Threads workers (0 = one per
-/// hardware thread); the result is identical for any thread count.
+/// Unpacks an archive of any format version into classfile models, in
+/// archive order. Sharded archives decode their shards on \p Threads
+/// workers (0 = one per hardware thread); the result is identical for
+/// any thread count. Version 3 decodes serially through
+/// PackedArchiveReader, so every index check runs.
 ///
 /// Hostile-input contract: every count, length, and reference id read
 /// from the wire is validated before use, so a corrupt or truncated
-/// archive yields a typed Error (Truncated / Corrupt / LimitExceeded),
-/// never undefined behavior or an unbounded allocation.
+/// archive yields a typed Error (Truncated / Corrupt / LimitExceeded /
+/// VersionMismatch), never undefined behavior or an unbounded
+/// allocation.
 ///
 /// \p Archive is borrowed for the duration of the call only (stream
 /// payloads are decoded from slices of it without a staging copy), so
@@ -191,22 +197,29 @@ Expected<std::vector<ClassFile>>
 unpackClasses(std::span<const uint8_t> Archive,
               const UnpackOptions &Options);
 
-/// Unpacks an archive into named classfile bytes ("pkg/Name.class").
+/// Unpacks an archive of any format version into named classfile bytes
+/// ("pkg/Name.class").
 Expected<std::vector<NamedClass>>
 unpackArchive(std::span<const uint8_t> Archive, unsigned Threads = 0);
 Expected<std::vector<NamedClass>>
 unpackArchive(std::span<const uint8_t> Archive,
               const UnpackOptions &Options);
 
-/// Unpacks an archive of any format version into named classfile
-/// bytes: version-3 archives route through PackedArchiveReader (so the
-/// indexed layout decodes without the whole-archive path rejecting it),
-/// versions 1/2 through unpackArchive. The version dispatch shared by
-/// packtool and the cjpackd request handlers; \p Options.Limits bound
-/// both paths.
+/// Loads the classfiles of one input as named bytes: a lone classfile
+/// (named \p Name), a packed archive of any version, or a jar/zip's
+/// ".class" members. \p Options bound the archive decode and zip read.
 Expected<std::vector<NamedClass>>
-unpackAnyArchive(std::span<const uint8_t> Archive,
-                 const UnpackOptions &Options = {});
+loadClassSet(std::span<const uint8_t> Bytes, const std::string &Name,
+             const UnpackOptions &Options);
+
+/// Parses \p Classes under \p Limits into \p Parsed, with their names
+/// parallel in \p Names. A class that does not parse becomes one
+/// MalformedCode diagnostic in \p Diags, stamped with its name.
+void parseClassSet(const std::vector<NamedClass> &Classes,
+                   const DecodeLimits &Limits,
+                   std::vector<ClassFile> &Parsed,
+                   std::vector<std::string> &Names,
+                   std::vector<analysis::Diagnostic> &Diags);
 
 /// The §12 signing workflow: decompresses \p Archive and digests the
 /// resulting classfiles into a manifest. The sender runs this right

@@ -5,57 +5,37 @@
 //===----------------------------------------------------------------------===//
 
 #include "pack/Stats.h"
-#include "pack/ArchiveIndex.h"
-#include "pack/Dictionary.h"
+#include "pack/ArchiveFormat.h"
 #include "support/VarInt.h"
 
 using namespace cjpack;
 
 namespace {
 
-/// Reads one stream's directory entry and skips its stored bytes.
-/// \p ShardCount distinguishes the version-1 layout (one raw length)
-/// from the version-2 joint layout (one raw length per shard).
-Error statStream(ByteReader &R, unsigned Index, size_t ShardCount,
-                 const DecodeLimits &Limits, ArchiveStats &Stats) {
-  StreamSizes &Sizes = Stats.Sizes;
-  size_t HeaderStart = R.position();
-  uint8_t Id = R.readU1();
-  uint8_t Method = R.readU1();
-  if (R.hasError() || Id != Index || !findBackend(Method))
-    return makeError(ErrorCode::Corrupt,
-                     "stats: corrupt stream header at byte " +
-                         std::to_string(R.position()));
-  uint64_t RawTotal = 0;
-  for (size_t K = 0; K < ShardCount; ++K) {
-    uint64_t Len = readVarUInt(R);
-    if (R.hasError() || Len > Limits.MaxStreamBytes)
-      return makeError(ErrorCode::LimitExceeded,
-                       "stats: stream length over limit at byte " +
-                           std::to_string(R.position()));
-    RawTotal += Len;
+/// Walks one complete stream directory (all NumStreams entries, nothing
+/// after them) without inflating, adding each entry to \p Stats.
+/// \p ShardCount distinguishes the version-1 layout (one raw length per
+/// entry) from the version-2 joint layout (one per shard). Accumulating
+/// lets the version-3 walk roll the totals up across shard blobs.
+Error statDirectory(ByteReader &R, size_t ShardCount,
+                    const DecodeLimits &Limits, ArchiveStats &Stats) {
+  std::vector<uint64_t> Lens(ShardCount);
+  for (unsigned I = 0; I < NumStreams; ++I) {
+    size_t Start = R.position();
+    auto E = readStreamEntry(R, I, Lens, Limits);
+    if (!E)
+      return E.takeError();
+    // Each stream is charged its directory header too, so packed sizes
+    // sum to the payload.
+    size_t Packed = R.position() - Start;
+    Stats.Sizes.Raw[I] += static_cast<size_t>(E->RawTotal);
+    Stats.Sizes.Packed[I] += Packed;
+    Stats.BackendPacked[E->Method] += Packed;
+    Stats.BackendStreams[E->Method] += 1;
   }
-  uint64_t StoredLen = readVarUInt(R);
-  if (R.hasError() || RawTotal > Limits.MaxStreamBytes)
-    return makeError(ErrorCode::LimitExceeded,
-                     "stats: joint stream length over limit at byte " +
-                         std::to_string(R.position()));
-  // A stored-as-is stream must declare matching sizes; a compressed one
-  // must at least not promise more bytes than the archive holds (the
-  // skip below enforces that).
-  if (Method == 0 && StoredLen != RawTotal)
-    return makeError(ErrorCode::Corrupt, "stats: stored size mismatch");
-  size_t HeaderLen = R.position() - HeaderStart;
-  if (!R.skip(static_cast<size_t>(StoredLen)))
-    return makeError(ErrorCode::Truncated,
-                     "stats: truncated stream payload at byte " +
-                         std::to_string(R.position()));
-  // Accumulating (not assigning) lets the version-3 walk call this once
-  // per shard blob and roll the per-stream totals up across blobs.
-  Sizes.Raw[Index] += static_cast<size_t>(RawTotal);
-  Sizes.Packed[Index] += HeaderLen + static_cast<size_t>(StoredLen);
-  Stats.BackendPacked[Method] += HeaderLen + static_cast<size_t>(StoredLen);
-  Stats.BackendStreams[Method] += 1;
+  if (!R.atEnd())
+    return makeError(ErrorCode::Corrupt,
+                     "stats: trailing bytes after stream directory");
   return Error::success();
 }
 
@@ -65,88 +45,38 @@ Expected<ArchiveStats>
 cjpack::statPackedArchive(const std::vector<uint8_t> &Archive,
                           const DecodeLimits &Limits) {
   ByteReader R(Archive);
-  uint32_t Magic = R.readU4();
-  if (R.hasError() || Magic != 0x434A504Bu)
-    return makeError(R.hasError() ? ErrorCode::Truncated : ErrorCode::Corrupt,
-                     "stats: bad magic");
+  auto Header = readArchiveHeader(R);
+  if (!Header)
+    return Header.takeError();
   ArchiveStats Stats;
   Stats.ArchiveBytes = Archive.size();
-  Stats.Version = R.readU1();
-  if (Stats.Version != FormatVersionSerial &&
-      Stats.Version != FormatVersionSharded &&
-      Stats.Version != FormatVersionIndexed)
-    return makeError(ErrorCode::VersionMismatch,
-                     "stats: unsupported format version " +
-                         std::to_string(Stats.Version));
-  uint8_t Scheme = R.readU1();
-  if (Scheme > static_cast<uint8_t>(RefScheme::MtfTransientsContext))
-    return makeError(ErrorCode::Corrupt, "stats: unknown reference scheme");
-  Stats.Scheme = static_cast<RefScheme>(Scheme);
-  uint8_t Flags = R.readU1();
-  if (R.hasError())
-    return makeError(ErrorCode::Truncated,
-                     "stats: truncated archive header");
-  Stats.CollapseOpcodes = (Flags & 1) != 0;
-  Stats.CompressStreams = (Flags & 2) != 0;
-  Stats.PreloadStandardRefs = (Flags & 4) != 0;
-  Stats.BackendCode = (Flags >> BackendFlagShift) & BackendFlagMask;
-  if (Stats.BackendCode > ArchiveBackendMixed)
-    return makeError(ErrorCode::Corrupt,
-                     "stats: unknown archive backend code");
+  Stats.Version = Header->Version;
+  Stats.Scheme = Header->Scheme;
+  Stats.CollapseOpcodes = Header->CollapseOpcodes;
+  Stats.CompressStreams = Header->CompressStreams;
+  Stats.PreloadStandardRefs = Header->PreloadStandardRefs;
+  Stats.BackendCode = Header->BackendCode;
   Stats.HeaderBytes = R.position();
 
   if (Stats.Version == FormatVersionIndexed) {
-    // Version 3: index length prefix, the index frame, the dictionary
-    // frame, then one complete stream directory per shard blob. The
-    // prefix is charged to IndexBytes (matching PackResult::IndexBytes:
-    // all bytes that exist only for random access). The index is
-    // authoritative for the blob extents; the walk checks every blob
-    // parses to exactly its indexed length.
-    size_t LenStart = R.position();
-    uint64_t IndexLen = readVarUInt(R);
-    if (R.hasError())
-      return R.takeError("stats");
-    if (IndexLen > R.remaining())
-      return makeError(ErrorCode::Truncated,
-                       "stats: index frame extends past end of archive");
-    if (IndexLen > Limits.MaxStreamBytes)
-      return makeError(ErrorCode::LimitExceeded,
-                       "stats: index frame length over limit");
-    size_t PrefixLen = R.position() - LenStart;
-    ByteReader IndexR(Archive.data() + R.position(),
-                      static_cast<size_t>(IndexLen));
-    auto Index = ArchiveIndex::deserialize(IndexR, Limits);
-    if (!Index)
-      return Index.takeError();
-    R.skip(static_cast<size_t>(IndexLen));
-    Stats.IndexBytes = PrefixLen + static_cast<size_t>(IndexLen);
-    Stats.IndexedClasses = Index->Classes.size();
-    Stats.Shards = Index->Shards.size();
-
-    size_t DictStart = R.position();
-    auto Dict = SharedDictionary::deserialize(R, Limits);
-    if (!Dict)
-      return Dict.takeError();
-    Stats.DictionaryBytes = R.position() - DictStart;
-    Stats.DictionaryEntries = Dict->entryCount();
-
-    size_t BlobBase = R.position();
-    uint64_t Region = Archive.size() - BlobBase;
-    if (Index->blobBytes() > Region)
-      return makeError(ErrorCode::Truncated,
-                       "stats: shard blobs extend past end of archive");
-    if (Index->blobBytes() < Region)
-      return makeError(ErrorCode::Corrupt,
-                       "stats: trailing bytes after shard blobs");
-    for (const ArchiveIndex::ShardExtent &E : Index->Shards) {
-      ByteReader Blob(Archive.data() + BlobBase + E.Offset,
-                      static_cast<size_t>(E.Length));
-      for (unsigned I = 0; I < NumStreams; ++I)
-        if (auto Err = statStream(Blob, I, /*ShardCount=*/1, Limits, Stats))
-          return Err;
-      if (!Blob.atEnd())
-        return makeError(ErrorCode::Corrupt,
-                         "stats: trailing bytes in shard blob");
+    // Version 3: the index frame (its length prefix charged to
+    // IndexBytes, matching PackResult::IndexBytes: all bytes that exist
+    // only for random access), the dictionary frame, then one complete
+    // stream directory per shard blob. The index is authoritative for
+    // the blob extents; the walk checks every blob parses to exactly
+    // its indexed length.
+    auto Frames = readIndexedFrames(R, Limits);
+    if (!Frames)
+      return Frames.takeError();
+    Stats.IndexBytes = Frames->IndexBytes;
+    Stats.IndexedClasses = Frames->Index.Classes.size();
+    Stats.Shards = Frames->Index.Shards.size();
+    Stats.DictionaryBytes = Frames->DictionaryBytes;
+    Stats.DictionaryEntries = Frames->Dict.entryCount();
+    for (size_t K = 0; K < Stats.Shards; ++K) {
+      ByteReader Blob(Frames->blob(Archive, K));
+      if (auto Err = statDirectory(Blob, /*ShardCount=*/1, Limits, Stats))
+        return Err;
     }
     return Stats;
   }
@@ -173,12 +103,7 @@ cjpack::statPackedArchive(const std::vector<uint8_t> &Archive,
     Stats.Shards = static_cast<size_t>(Count);
   }
 
-  for (unsigned I = 0; I < NumStreams; ++I)
-    if (auto E = statStream(R, I, Stats.Shards, Limits, Stats))
-      return E;
-
-  if (R.position() != Archive.size())
-    return makeError(ErrorCode::Corrupt,
-                     "stats: trailing bytes after stream directory");
+  if (auto Err = statDirectory(R, Stats.Shards, Limits, Stats))
+    return Err;
   return Stats;
 }

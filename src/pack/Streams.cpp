@@ -99,6 +99,40 @@ void StreamSet::adopt(StreamId Id, std::vector<uint8_t> Bytes) {
   Readers[I] = std::make_unique<ByteReader>(Buffers[I]);
 }
 
+Expected<StoredStream> cjpack::readStreamEntry(ByteReader &R, unsigned Id,
+                                               std::span<uint64_t> RawLens,
+                                               const DecodeLimits &Limits) {
+  StoredStream E;
+  uint8_t GotId = R.readU1();
+  E.Method = R.readU1();
+  if (R.hasError() || GotId != Id || !findBackend(E.Method))
+    return makeError(ErrorCode::Corrupt,
+                     "streams: corrupt stream header at byte " +
+                         std::to_string(R.position()));
+  // The declared raw lengths size the inflate output, so an absurd
+  // value must fail here, not OOM.
+  for (uint64_t &Len : RawLens) {
+    Len = readVarUInt(R);
+    if (R.hasError())
+      return R.takeError("streams");
+    E.RawTotal += Len;
+    if (Len > Limits.MaxStreamBytes || E.RawTotal > Limits.MaxStreamBytes)
+      return makeError(ErrorCode::LimitExceeded,
+                       "streams: stream length over limit at byte " +
+                           std::to_string(R.position()));
+  }
+  uint64_t StoredLen = readVarUInt(R);
+  if (R.hasError())
+    return R.takeError("streams");
+  if (E.Method == static_cast<uint8_t>(BackendId::Store) &&
+      StoredLen != E.RawTotal)
+    return makeError(ErrorCode::Corrupt, "streams: stored size mismatch");
+  E.Stored = R.readSpan(static_cast<size_t>(StoredLen));
+  if (R.hasError())
+    return R.takeError("streams");
+  return E;
+}
+
 std::vector<uint8_t>
 cjpack::serializeShardedStreams(const std::vector<StreamSet> &Shards,
                                 const BackendPlan &Plan, StreamSizes *Sizes) {
@@ -140,34 +174,13 @@ cjpack::deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits) {
                      "streams: implausible shard count at byte " +
                          std::to_string(R.position()));
   std::vector<StreamSet> Shards(static_cast<size_t>(Count));
+  std::vector<uint64_t> Lens(Shards.size());
   for (unsigned I = 0; I < NumStreams; ++I) {
-    uint8_t Id = R.readU1();
-    uint8_t Method = R.readU1();
-    if (R.hasError() || Id != I)
-      return makeError(ErrorCode::Corrupt,
-                       "streams: corrupt stream header at byte " +
-                           std::to_string(R.position()));
-    std::vector<size_t> Lens(Shards.size());
-    uint64_t RawTotal = 0;
-    for (size_t K = 0; K < Shards.size(); ++K) {
-      uint64_t Len = readVarUInt(R);
-      if (R.hasError() || Len > Limits.MaxStreamBytes)
-        return makeError(ErrorCode::LimitExceeded,
-                         "streams: shard stream length over limit at byte " +
-                             std::to_string(R.position()));
-      Lens[K] = static_cast<size_t>(Len);
-      RawTotal += Len;
-    }
-    size_t StoredLen = static_cast<size_t>(readVarUInt(R));
-    if (R.hasError() || RawTotal > Limits.MaxStreamBytes)
-      return makeError(ErrorCode::LimitExceeded,
-                       "streams: joint stream length over limit at byte " +
-                           std::to_string(R.position()));
-    std::span<const uint8_t> Stored = R.readSpan(StoredLen);
-    if (R.hasError())
-      return R.takeError("streams");
-    auto Joined = unpackStream(Method, Stored,
-                               static_cast<size_t>(RawTotal), nullptr);
+    auto E = readStreamEntry(R, I, Lens, Limits);
+    if (!E)
+      return E.takeError();
+    auto Joined = unpackStream(E->Method, E->Stored,
+                               static_cast<size_t>(E->RawTotal), nullptr);
     if (!Joined)
       return Joined.takeError();
     size_t Offset = 0;
@@ -175,7 +188,7 @@ cjpack::deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits) {
       const uint8_t *Slice = Joined->data() + Offset;
       Shards[K].adopt(static_cast<StreamId>(I),
                       std::vector<uint8_t>(Slice, Slice + Lens[K]));
-      Offset += Lens[K];
+      Offset += static_cast<size_t>(Lens[K]);
     }
   }
   return Shards;
@@ -210,31 +223,15 @@ std::vector<uint8_t> StreamSet::serialize(const BackendPlan &Plan,
 Error StreamSet::deserialize(ByteReader &R, const DecodeLimits &Limits,
                              DecodeBudget *Budget) {
   for (unsigned I = 0; I < NumStreams; ++I) {
-    uint8_t Id = R.readU1();
-    uint8_t Method = R.readU1();
-    uint64_t RawLen64 = readVarUInt(R);
-    size_t StoredLen = static_cast<size_t>(readVarUInt(R));
-    // Streams are written in id order; accepting any in-range id would
-    // let a corrupt header leave another stream's reader unpopulated.
-    if (R.hasError() || Id != I)
-      return makeError(ErrorCode::Corrupt,
-                       "streams: corrupt stream header at byte " +
-                           std::to_string(R.position()));
-    // Validate before inflate: the declared raw length drives the
-    // output allocation, so an absurd value must fail here, not OOM.
-    if (RawLen64 > Limits.MaxStreamBytes)
-      return makeError(ErrorCode::LimitExceeded,
-                       "streams: stream length over limit at byte " +
-                           std::to_string(R.position()));
-    size_t RawLen = static_cast<size_t>(RawLen64);
-    std::span<const uint8_t> Stored = R.readSpan(StoredLen);
-    if (R.hasError())
-      return R.takeError("streams");
-    auto Raw = unpackStream(Method, Stored, RawLen, Budget);
+    uint64_t RawLen = 0;
+    auto E = readStreamEntry(R, I, {&RawLen, 1}, Limits);
+    if (!E)
+      return E.takeError();
+    auto Raw = unpackStream(E->Method, E->Stored,
+                            static_cast<size_t>(RawLen), Budget);
     if (!Raw)
       return Raw.takeError();
-    Buffers[Id] = std::move(*Raw);
-    Readers[Id] = std::make_unique<ByteReader>(Buffers[Id]);
+    adopt(static_cast<StreamId>(I), std::move(*Raw));
   }
   return Error::success();
 }

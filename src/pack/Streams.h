@@ -25,6 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace cjpack {
@@ -254,9 +255,9 @@ public:
     return Writers[static_cast<unsigned>(Id)].data();
   }
 
-  /// Reader side: installs \p Bytes as the full contents of \p Id.
-  /// Used by the sharded container, which slices each stream's joint
-  /// buffer back into per-shard stream sets.
+  /// Reader side: installs \p Bytes as the full contents of \p Id
+  /// (the sharded container slices each stream's joint buffer back into
+  /// per-shard stream sets this way).
   void adopt(StreamId Id, std::vector<uint8_t> Bytes);
 
   /// Serializes all written streams: per stream a header (id, method,
@@ -265,14 +266,6 @@ public:
   /// does not strictly shrink). \p Sizes receives the accounting.
   std::vector<uint8_t> serialize(const BackendPlan &Plan,
                                  StreamSizes *Sizes) const;
-
-  /// Legacy entry point: \p Compress true is the uniform zlib plan
-  /// (historical behavior, byte-identical), false is all-store.
-  std::vector<uint8_t> serialize(bool Compress, StreamSizes *Sizes) const {
-    return serialize(
-        BackendPlan::uniform(Compress ? BackendId::Zlib : BackendId::Store),
-        Sizes);
-  }
 
   /// Parses bytes produced by serialize. Declared lengths are checked
   /// against \p Limits.MaxStreamBytes before any allocation, and
@@ -290,6 +283,26 @@ private:
   std::array<std::unique_ptr<ByteReader>, NumStreams> Readers;
 };
 
+/// One stream's directory entry, read. Both containers lay an entry out
+/// the same way: id byte, method byte (the backend's wire id), one
+/// varint raw length per shard, varint stored length, stored bytes.
+struct StoredStream {
+  uint8_t Method = 0;
+  uint64_t RawTotal = 0;
+  /// The stored bytes, a slice of the input.
+  std::span<const uint8_t> Stored;
+};
+
+/// Reads stream \p Id's entry, filling one raw length per element of
+/// \p RawLens. Checks the id (streams come in id order, so none is left
+/// unread), the method byte, every length against \p Limits, and a
+/// stored stream's size, all before anything is allocated. The one
+/// reader of the stream directory: both deserializers and the stats
+/// walk use it.
+Expected<StoredStream> readStreamEntry(ByteReader &R, unsigned Id,
+                                       std::span<uint64_t> RawLens,
+                                       const DecodeLimits &Limits);
+
 /// Serializes \p Shards into the version-2 grouped stream container.
 /// Each of the NumStreams streams stores its shards' bytes concatenated
 /// and compressed as one unit — per-shard compression would fragment
@@ -303,16 +316,6 @@ private:
 std::vector<uint8_t> serializeShardedStreams(
     const std::vector<StreamSet> &Shards, const BackendPlan &Plan,
     StreamSizes *Sizes);
-
-/// Legacy entry point; see StreamSet::serialize(bool, ...).
-inline std::vector<uint8_t> serializeShardedStreams(
-    const std::vector<StreamSet> &Shards, bool Compress,
-    StreamSizes *Sizes) {
-  return serializeShardedStreams(
-      Shards,
-      BackendPlan::uniform(Compress ? BackendId::Zlib : BackendId::Store),
-      Sizes);
-}
 
 /// Parses a container written by serializeShardedStreams back into
 /// per-shard stream sets, validating the shard count and every

@@ -7,7 +7,6 @@
 #include "serve/Server.h"
 #include "analysis/ArchiveAnalysis.h"
 #include "analysis/Verifier.h"
-#include "classfile/Reader.h"
 #include "classfile/Writer.h"
 #include "pack/Packer.h"
 #include "pack/Stats.h"
@@ -95,34 +94,24 @@ bool isClassName(const std::string &Name) {
 }
 
 /// Loads \p Path — a classfile, a jar/zip, or a cjpack archive of any
-/// version — into named classfiles for verify/lint.
-Expected<std::vector<NamedClass>> loadClassSet(const std::string &Path,
-                                               const DecodeLimits &Limits) {
+/// version — under \p Limits, and parses it for verify/lint. Classes
+/// that do not parse come back as diagnostics in \p Diags.
+Expected<std::vector<ClassFile>>
+loadAndParse(const std::string &Path, const DecodeLimits &Limits,
+             std::vector<analysis::Diagnostic> &Diags) {
   std::vector<uint8_t> Bytes;
   if (!readFileBytes(Path, Bytes))
     return Error::failure("cannot read '" + Path + "'");
-  if (Bytes.size() >= 4 && Bytes[0] == 0xCA && Bytes[1] == 0xFE &&
-      Bytes[2] == 0xBA && Bytes[3] == 0xBE) {
-    std::vector<NamedClass> One(1);
-    One[0].Name = Path;
-    One[0].Data = std::move(Bytes);
-    return One;
-  }
-  if (Bytes.size() >= 4 && Bytes[0] == 'C' && Bytes[1] == 'J' &&
-      Bytes[2] == 'P' && Bytes[3] == 'K') {
-    UnpackOptions Options;
-    Options.Threads = 1;
-    Options.Limits = Limits;
-    return unpackAnyArchive(Bytes, Options);
-  }
-  auto Entries = readZip(Bytes, Limits);
-  if (!Entries)
-    return Entries.takeError();
-  std::vector<NamedClass> Classes;
-  for (ZipEntry &E : *Entries)
-    if (isClassName(E.Name))
-      Classes.push_back(std::move(E));
-  return Classes;
+  UnpackOptions Options;
+  Options.Threads = 1;
+  Options.Limits = Limits;
+  auto Classes = loadClassSet(Bytes, Path, Options);
+  if (!Classes)
+    return Classes.takeError();
+  std::vector<ClassFile> Parsed;
+  std::vector<std::string> Names;
+  parseClassSet(*Classes, Limits, Parsed, Names, Diags);
+  return Parsed;
 }
 
 } // namespace
@@ -182,7 +171,7 @@ Response Server::handle(const Request &Req) {
     UnpackOptions Options;
     Options.Threads = 1;
     Options.Limits = Config.RequestLimits;
-    auto Classes = unpackAnyArchive(Archive, Options);
+    auto Classes = unpackArchive(Archive, Options);
     if (!Classes)
       return Response::fail(Classes.takeError());
     std::vector<uint8_t> Jar = writeZip(*Classes, ZipMethod::Deflated);
@@ -231,43 +220,32 @@ Response Server::handle(const Request &Req) {
   case Opcode::Verify: {
     if (Req.Args.size() != 1)
       return BadArgc(1);
-    auto Classes = loadClassSet(Req.Args[0], Config.RequestLimits);
-    if (!Classes)
-      return Response::fail(Classes.takeError());
-    std::vector<ClassFile> Parsed;
-    size_t Diags = 0;
-    for (const NamedClass &C : *Classes) {
-      auto CF = parseClassFile(C.Data);
-      if (!CF) {
-        ++Diags;
-        continue;
-      }
-      Parsed.push_back(std::move(*CF));
-    }
-    analysis::ClassHierarchy H = analysis::ClassHierarchy::build(Parsed);
-    for (const ClassFile &CF : Parsed)
-      Diags += analysis::verifyClass(CF, &H).Diags.size();
-    return Response::ok("verified " + std::to_string(Classes->size()) +
-                        " classes, " + std::to_string(Diags) +
+    std::vector<analysis::Diagnostic> Diags;
+    auto Parsed = loadAndParse(Req.Args[0], Config.RequestLimits, Diags);
+    if (!Parsed)
+      return Response::fail(Parsed.takeError());
+    analysis::ClassHierarchy H = analysis::ClassHierarchy::build(*Parsed);
+    size_t NumDiags = Diags.size();
+    for (const ClassFile &CF : *Parsed)
+      NumDiags += analysis::verifyClass(CF, &H).Diags.size();
+    return Response::ok("verified " +
+                        std::to_string(Parsed->size() + Diags.size()) +
+                        " classes, " + std::to_string(NumDiags) +
                         " diagnostics");
   }
 
   case Opcode::Lint: {
     if (Req.Args.size() != 1)
       return BadArgc(1);
-    auto Classes = loadClassSet(Req.Args[0], Config.RequestLimits);
-    if (!Classes)
-      return Response::fail(Classes.takeError());
-    std::vector<ClassFile> Parsed;
-    for (const NamedClass &C : *Classes) {
-      auto CF = parseClassFile(C.Data);
-      if (CF)
-        Parsed.push_back(std::move(*CF));
-    }
-    analysis::ArchiveAnalysisReport R = analysis::analyzeArchive(Parsed);
+    std::vector<analysis::Diagnostic> Diags;
+    auto Parsed = loadAndParse(Req.Args[0], Config.RequestLimits, Diags);
+    if (!Parsed)
+      return Response::fail(Parsed.takeError());
+    analysis::ArchiveAnalysisReport R = analysis::analyzeArchive(*Parsed);
     std::string Body;
     Body += "classes " + std::to_string(R.ClassesAnalyzed) + "\n";
-    Body += "diagnostics " + std::to_string(R.Diags.size()) + "\n";
+    Body += "diagnostics " + std::to_string(Diags.size() + R.Diags.size()) +
+            "\n";
     Body += "refs_checked " + std::to_string(R.RefsChecked) + "\n";
     Body += "refs_resolved " + std::to_string(R.RefsResolved) + "\n";
     Body += "dead_members " + std::to_string(R.DeadMembers.size()) + "\n";

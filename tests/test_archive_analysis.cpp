@@ -556,4 +556,36 @@ TEST(StripUnreferenced, RetainedMembersSurviveByteLossless) {
     ADD_FAILURE() << formatDiagnostic(D);
 }
 
+// Stripping composes with the indexed layout: the pack's own restore
+// gate decodes the version-3 archive, and the archive restores the same
+// classes as the version-2 stripped archive of the same input.
+TEST(StripUnreferenced, IndexedPackPassesItsRestoreGate) {
+  CorpusSpec Spec = smallSpec(CodeStyle::Balanced, 17);
+  Spec.DeadMembersPerClass = 2;
+  std::vector<NamedClass> Classes = generateCorpus(Spec);
+  PackOptions Sharded;
+  Sharded.Shards = 2;
+  Sharded.Threads = 2;
+  Sharded.StripUnreferenced = true;
+  PackOptions Indexed = Sharded;
+  Indexed.RandomAccessIndex = true;
+  auto V2 = packClassBytes(Classes, Sharded);
+  auto V3 = packClassBytes(Classes, Indexed);
+  ASSERT_TRUE(static_cast<bool>(V2)) << V2.message();
+  ASSERT_TRUE(static_cast<bool>(V3)) << V3.message();
+  ASSERT_EQ(V3->Archive[4], FormatVersionIndexed);
+  EXPECT_GT(V3->StrippedFields + V3->StrippedMethods, 0u);
+  EXPECT_EQ(V3->StrippedFields, V2->StrippedFields);
+  EXPECT_EQ(V3->StrippedMethods, V2->StrippedMethods);
+
+  auto Want = unpackArchive(V2->Archive);
+  auto Got = unpackArchive(V3->Archive);
+  ASSERT_TRUE(Want && Got);
+  ASSERT_EQ(Got->size(), Want->size());
+  for (size_t I = 0; I < Want->size(); ++I) {
+    EXPECT_EQ((*Got)[I].Name, (*Want)[I].Name);
+    EXPECT_EQ((*Got)[I].Data, (*Want)[I].Data) << (*Want)[I].Name;
+  }
+}
+
 } // namespace

@@ -498,7 +498,9 @@ void expectUnpackAndStatsReject(const std::vector<uint8_t> &Bytes,
 
 // The non-default backends under the same truncation / flip / mutation
 // schedule as the zlib pipeline: the Huffman and arithmetic decoders
-// face every byte-level fault the container can deliver.
+// face every byte-level fault the container can deliver. The indexed
+// truncations also run through unpackClasses, which decodes version 3
+// through the reader.
 TEST(FaultInjection, BackendArchiveSweeps) {
   for (BackendId Backend : {BackendId::Huffman, BackendId::Arith}) {
     auto Archive = packedArchive(1, RefScheme::MtfTransientsContext,
@@ -514,6 +516,7 @@ TEST(FaultInjection, BackendArchiveSweeps) {
                                  /*Indexed=*/true, Backend);
     ASSERT_FALSE(Indexed.empty());
     truncateEverywhere(Indexed, expectCleanReader);
+    truncateEverywhere(Indexed, expectCleanUnpack);
     flipEverywhere(Indexed, expectCleanReader);
     mutateRandomly(Indexed, expectCleanReader,
                    /*Seed=*/31 + static_cast<uint64_t>(Backend),
@@ -588,6 +591,8 @@ TEST(FaultInjection, HostileArchiveBackendCode) {
     BadV3[6] = static_cast<uint8_t>(
         (BadV3[6] & ~(BackendFlagMask << BackendFlagShift)) |
         (Code << BackendFlagShift));
+    expectUnpackAndStatsReject(BadV3, ErrorCode::Corrupt,
+                               "reserved archive backend code (v3)");
     auto Reader = PackedArchiveReader::open(BadV3, testLimits());
     ASSERT_FALSE(static_cast<bool>(Reader))
         << "reader accepted reserved backend code " << unsigned(Code);

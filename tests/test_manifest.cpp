@@ -130,3 +130,31 @@ TEST(Signing, Section12WorkflowEndToEnd) {
   Manifest Original = buildManifest(Raw);
   EXPECT_FALSE(verifyManifest(Original, *Restored));
 }
+
+// The §12 workflow holds for the indexed layout too: a version-3
+// archive digests to exactly the manifest of the version-2 archive of
+// the same input, so a receiver can check either against one signature.
+TEST(Signing, IndexedManifestEqualsShardedManifest) {
+  CorpusSpec Spec;
+  Spec.Name = "signing";
+  Spec.Seed = 99;
+  Spec.NumClasses = 12;
+  Spec.NumPackages = 2;
+  std::vector<NamedClass> Raw = generateCorpus(Spec);
+  PackOptions Sharded;
+  Sharded.Shards = 2;
+  PackOptions Indexed = Sharded;
+  Indexed.RandomAccessIndex = true;
+  auto V2 = packClassBytes(Raw, Sharded);
+  auto V3 = packClassBytes(Raw, Indexed);
+  ASSERT_TRUE(V2 && V3);
+  ASSERT_EQ(V2->Archive[4], FormatVersionSharded);
+  ASSERT_EQ(V3->Archive[4], FormatVersionIndexed);
+
+  auto M2 = manifestForPackedArchive(V2->Archive);
+  auto M3 = manifestForPackedArchive(V3->Archive);
+  ASSERT_TRUE(static_cast<bool>(M2)) << M2.message();
+  ASSERT_TRUE(static_cast<bool>(M3)) << M3.message();
+  EXPECT_EQ(M3->Entries.size(), Raw.size());
+  EXPECT_EQ(writeManifest(*M3), writeManifest(*M2));
+}

@@ -246,7 +246,9 @@ TEST(ArchiveCacheTest, HitMissAndByteIdenticalResults) {
   std::string Name = (*A1)->Reader.classNames().front();
   auto Hot = (*A1)->Reader.unpackClass(Name);
   ASSERT_TRUE(static_cast<bool>(Hot)) << Hot.message();
-  auto Fresh = PackedArchiveReader::open(packIndexed(Classes));
+  // The reader borrows its bytes: keep them alive while it decodes.
+  std::vector<uint8_t> Archive = packIndexed(Classes);
+  auto Fresh = PackedArchiveReader::open(Archive);
   ASSERT_TRUE(static_cast<bool>(Fresh));
   auto Cold = Fresh->unpackClass(Name);
   ASSERT_TRUE(static_cast<bool>(Cold));
@@ -504,6 +506,36 @@ TEST(ServeServer, BudgetExhaustionDoesNotPoisonLaterRequests) {
 
   std::remove(CjpPath.c_str());
   std::remove(OutJar.c_str());
+}
+
+// verify and lint load and parse through the shared class-set loader,
+// so a member that does not parse is one diagnostic from both, exactly
+// as packtool reports it.
+TEST(ServeServer, VerifyAndLintCountUnparseableClasses) {
+  TestServer T = TestServer::start({}, "unparseable");
+  ASSERT_TRUE(T.Srv);
+  Client C = T.connect();
+
+  auto Classes = serveCorpus(41, 6);
+  NamedClass Broken = Classes.front();
+  Broken.Name = "com/x/Broken.class";
+  Broken.Data.resize(Broken.Data.size() / 2);
+  Classes.push_back(std::move(Broken));
+  std::string JarPath = tempPath("serve_unparseable.jar");
+  ASSERT_TRUE(writeFileBytes(JarPath, buildJar(Classes)));
+
+  auto L = C.call(Opcode::Lint, {JarPath});
+  ASSERT_TRUE(static_cast<bool>(L));
+  ASSERT_EQ(L->St, Status::Ok) << L->text();
+  EXPECT_EQ(metricValue(L->text(), "classes"), 6);
+  EXPECT_EQ(metricValue(L->text(), "diagnostics"), 1);
+
+  auto V = C.call(Opcode::Verify, {JarPath});
+  ASSERT_TRUE(static_cast<bool>(V));
+  ASSERT_EQ(V->St, Status::Ok) << V->text();
+  EXPECT_EQ(V->text(), "verified 7 classes, 1 diagnostics");
+
+  std::remove(JarPath.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -28,15 +28,17 @@ std::vector<uint8_t> fillStreams(StreamSet &S) {
 } // namespace
 
 TEST(StreamSet, SerializeDeserializeRoundTrip) {
-  for (bool Compress : {true, false}) {
+  for (BackendId Backend : {BackendId::Zlib, BackendId::Store}) {
     StreamSet S;
     std::vector<uint8_t> Regs = fillStreams(S);
     StreamSizes Sizes;
-    std::vector<uint8_t> Bytes = S.serialize(Compress, &Sizes);
+    std::vector<uint8_t> Bytes =
+        S.serialize(BackendPlan::uniform(Backend), &Sizes);
 
     StreamSet S2;
     ByteReader R(Bytes);
-    ASSERT_FALSE(static_cast<bool>(S2.deserialize(R))) << Compress;
+    ASSERT_FALSE(static_cast<bool>(S2.deserialize(R)))
+        << backendName(Backend);
     EXPECT_TRUE(R.atEnd());
     for (int I = 0; I < 1000; ++I) {
       EXPECT_EQ(readVarUInt(S2.in(StreamId::Counts)),
@@ -54,8 +56,10 @@ TEST(StreamSet, CompressionShrinksRedundantStreams) {
   for (int I = 0; I < 5000; ++I)
     S.out(StreamId::Opcodes).writeU1(static_cast<uint8_t>(I % 3));
   StreamSizes Plain, Packed;
-  size_t Raw = S.serialize(false, &Plain).size();
-  size_t Comp = S.serialize(true, &Packed).size();
+  size_t Raw = S.serialize(BackendPlan::uniform(BackendId::Store), &Plain)
+                   .size();
+  size_t Comp = S.serialize(BackendPlan::uniform(BackendId::Zlib), &Packed)
+                    .size();
   EXPECT_LT(Comp, Raw / 5);
   EXPECT_EQ(Plain.Raw[static_cast<unsigned>(StreamId::Opcodes)], 5000u);
   EXPECT_LT(Packed.Packed[static_cast<unsigned>(StreamId::Opcodes)],
@@ -68,7 +72,8 @@ TEST(StreamSet, IncompressibleStreamsAreStored) {
   for (int I = 0; I < 4096; ++I)
     S.out(StreamId::DoubleConsts).writeU1(static_cast<uint8_t>(R.next()));
   StreamSizes Sizes;
-  std::vector<uint8_t> Bytes = S.serialize(true, &Sizes);
+  std::vector<uint8_t> Bytes =
+      S.serialize(BackendPlan::uniform(BackendId::Zlib), &Sizes);
   unsigned Idx = static_cast<unsigned>(StreamId::DoubleConsts);
   // Stored verbatim: packed ≈ raw + small header.
   EXPECT_GE(Sizes.Packed[Idx], Sizes.Raw[Idx]);
@@ -82,7 +87,8 @@ TEST(StreamSet, SizesSumToSerializedBytes) {
   StreamSet S;
   fillStreams(S);
   StreamSizes Sizes;
-  std::vector<uint8_t> Bytes = S.serialize(true, &Sizes);
+  std::vector<uint8_t> Bytes =
+      S.serialize(BackendPlan::uniform(BackendId::Zlib), &Sizes);
   EXPECT_EQ(Sizes.totalPacked(), Bytes.size());
   size_t ByCategory = 0;
   for (StreamCategory C :
@@ -95,7 +101,8 @@ TEST(StreamSet, SizesSumToSerializedBytes) {
 TEST(StreamSet, DeserializeRejectsCorruption) {
   StreamSet S;
   fillStreams(S);
-  std::vector<uint8_t> Bytes = S.serialize(true, nullptr);
+  std::vector<uint8_t> Bytes =
+      S.serialize(BackendPlan::uniform(BackendId::Zlib), nullptr);
   // Truncation at several depths.
   for (size_t Cut : {size_t(1), Bytes.size() / 3, Bytes.size() - 1}) {
     std::vector<uint8_t> Short(Bytes.begin(),
@@ -140,11 +147,11 @@ std::vector<StreamSet> makeShardSets() {
 } // namespace
 
 TEST(ShardedStreams, RoundTripsThroughSerialization) {
-  for (bool Compress : {true, false}) {
+  for (BackendId Backend : {BackendId::Zlib, BackendId::Store}) {
     std::vector<StreamSet> Shards = makeShardSets();
     StreamSizes Sizes;
     std::vector<uint8_t> Bytes =
-        serializeShardedStreams(Shards, Compress, &Sizes);
+        serializeShardedStreams(Shards, BackendPlan::uniform(Backend), &Sizes);
 
     ByteReader R(Bytes);
     auto Got = deserializeShardedStreams(R);
@@ -159,7 +166,8 @@ TEST(ShardedStreams, RoundTripsThroughSerialization) {
         EXPECT_TRUE((*Got)[K].in(Id).atEnd());
       }
     // Accounting covers everything but the shard-count varint.
-    EXPECT_EQ(Sizes.totalPacked() + 1, Bytes.size()) << Compress;
+    EXPECT_EQ(Sizes.totalPacked() + 1, Bytes.size())
+        << backendName(Backend);
   }
 }
 
@@ -175,10 +183,12 @@ TEST(ShardedStreams, GroupedCompressionSharesContextAcrossShards) {
   size_t PerShardTotal = 0;
   for (StreamSet &S : Shards) {
     S.out(StreamId::Opcodes).writeBytes(Noise);
-    PerShardTotal += S.serialize(true, nullptr).size();
+    PerShardTotal +=
+        S.serialize(BackendPlan::uniform(BackendId::Zlib), nullptr).size();
   }
   std::vector<uint8_t> Grouped =
-      serializeShardedStreams(Shards, true, nullptr);
+      serializeShardedStreams(Shards, BackendPlan::uniform(BackendId::Zlib),
+                              nullptr);
   EXPECT_LT(Grouped.size(), PerShardTotal / 2);
 }
 
@@ -194,7 +204,8 @@ TEST(ShardedStreams, RejectsImplausibleShardCounts) {
 
 TEST(ShardedStreams, RejectsCorruption) {
   std::vector<uint8_t> Bytes =
-      serializeShardedStreams(makeShardSets(), true, nullptr);
+      serializeShardedStreams(makeShardSets(),
+                              BackendPlan::uniform(BackendId::Zlib), nullptr);
   // Truncation at several depths.
   for (size_t Cut : {size_t(1), Bytes.size() / 3, Bytes.size() - 1}) {
     std::vector<uint8_t> Short(Bytes.begin(),

@@ -21,7 +21,8 @@
 // sum identity (header + index + dictionary + per-stream packed ==
 // archive bytes), its agreement with the encoder's own accounting, and
 // the cross-version decode matrix (each decoder accepts exactly the
-// versions it claims, with typed VersionMismatch otherwise).
+// versions it claims, with typed VersionMismatch otherwise), and the
+// short-header rule (Truncated from every surface).
 //
 //===----------------------------------------------------------------------===//
 
@@ -290,7 +291,8 @@ TEST(WireCompat, BackendArchives) {
 
 // Each decoder must accept exactly the versions it claims and reject
 // the rest with a typed VersionMismatch — never a crash, never a decode
-// of bytes laid out for a different version.
+// of bytes laid out for a different version. unpackClasses claims all
+// three; the lazy reader only the indexed one.
 TEST(WireCompat, CrossVersionDecodeMatrix) {
   auto Classes = corpusFor(CodeStyle::Balanced);
   PackOptions V1;
@@ -307,13 +309,6 @@ TEST(WireCompat, CrossVersionDecodeMatrix) {
   ASSERT_EQ(P1->Archive[4], FormatVersionSerial);
   ASSERT_EQ(P2->Archive[4], FormatVersionSharded);
   ASSERT_EQ(P3->Archive[4], FormatVersionIndexed);
-
-  // The whole-archive decoder handles v1/v2, rejects v3.
-  EXPECT_TRUE(static_cast<bool>(unpackClasses(P1->Archive)));
-  EXPECT_TRUE(static_cast<bool>(unpackClasses(P2->Archive)));
-  auto RejectV3 = unpackClasses(P3->Archive);
-  ASSERT_FALSE(static_cast<bool>(RejectV3));
-  EXPECT_EQ(RejectV3.code(), ErrorCode::VersionMismatch);
 
   // The lazy reader handles v3, rejects v1/v2.
   EXPECT_TRUE(static_cast<bool>(PackedArchiveReader::open(P3->Archive)));
@@ -340,20 +335,55 @@ TEST(WireCompat, CrossVersionDecodeMatrix) {
   for (const auto *P : {&P1, &P2, &P3})
     EXPECT_TRUE(static_cast<bool>(statPackedArchive((*P)->Archive)));
 
-  // The decoders agree: all three versions of the same input unpack to
-  // the identical classfiles.
+  // The whole-archive decoder takes all three versions and decodes
+  // them to the identical classfiles, the lazy reader's included.
   auto C1 = unpackClasses(P1->Archive);
   auto C2 = unpackClasses(P2->Archive, 2u);
+  auto C3 = unpackClasses(P3->Archive);
   auto Rd = PackedArchiveReader::open(P3->Archive);
-  ASSERT_TRUE(C1 && C2 && Rd);
-  auto C3 = Rd->unpackAll();
-  ASSERT_TRUE(static_cast<bool>(C3));
+  ASSERT_TRUE(C1 && C2 && C3 && Rd);
+  auto Lazy = Rd->unpackAll();
+  ASSERT_TRUE(static_cast<bool>(Lazy));
   ASSERT_EQ(C1->size(), Classes.size());
   ASSERT_EQ(C2->size(), Classes.size());
   ASSERT_EQ(C3->size(), Classes.size());
+  ASSERT_EQ(Lazy->size(), Classes.size());
   for (size_t I = 0; I < C1->size(); ++I) {
     EXPECT_EQ(writeClassFile((*C1)[I]), writeClassFile((*C2)[I])) << I;
     EXPECT_EQ(writeClassFile((*C2)[I]), writeClassFile((*C3)[I])) << I;
+    EXPECT_EQ(writeClassFile((*C3)[I]), writeClassFile((*Lazy)[I])) << I;
+  }
+}
+
+// A header cut short is Truncated from every decode surface, whatever
+// its version: the shared header reader checks length before anything
+// the missing bytes would hold.
+TEST(WireCompat, ShortHeaderIsTruncatedEverywhere) {
+  auto Classes = corpusFor(CodeStyle::Balanced);
+  for (unsigned Version = 1; Version <= 3; ++Version) {
+    PackOptions Options;
+    Options.Shards = Version == 1 ? 1 : 2;
+    Options.RandomAccessIndex = Version == 3;
+    auto Packed = packClassBytes(Classes, Options);
+    ASSERT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+    ASSERT_EQ(Packed->Archive[4], Version);
+    for (size_t Len = 0; Len < 7; ++Len) {
+      std::vector<uint8_t> Short(Packed->Archive.begin(),
+                                 Packed->Archive.begin() +
+                                     static_cast<ptrdiff_t>(Len));
+      auto U = unpackClasses(Short);
+      ASSERT_FALSE(static_cast<bool>(U)) << "v" << Version << " " << Len;
+      EXPECT_EQ(U.code(), ErrorCode::Truncated)
+          << "v" << Version << " " << Len << ": " << U.message();
+      auto R = PackedArchiveReader::open(Short);
+      ASSERT_FALSE(static_cast<bool>(R)) << "v" << Version << " " << Len;
+      EXPECT_EQ(R.code(), ErrorCode::Truncated)
+          << "v" << Version << " " << Len << ": " << R.message();
+      auto S = statPackedArchive(Short);
+      ASSERT_FALSE(static_cast<bool>(S)) << "v" << Version << " " << Len;
+      EXPECT_EQ(S.code(), ErrorCode::Truncated)
+          << "v" << Version << " " << Len << ": " << S.message();
+    }
   }
 }
 
