@@ -11,9 +11,16 @@
 // this target also drives the point lookup, so a shard can decode a
 // prefix before the sweep. Any outcome but a clean Expected is a bug.
 //
+// The sweep decodes shards concurrently, so the target also checks that
+// the thread count changes nothing: two fresh readers decoding on one
+// and on four threads must restore the same class bytes, or fail with
+// the same error code and message.
+//
 //===----------------------------------------------------------------------===//
 
+#include "classfile/Writer.h"
 #include "pack/ArchiveReader.h"
+#include <cstdlib>
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   cjpack::DecodeLimits Limits;
@@ -31,5 +38,27 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   if (!Names.empty())
     (void)Reader->unpackClass(Names[Names.size() / 2]);
   (void)Reader->unpackAll();
+
+  // Open succeeded once, and it decodes nothing but the frames, so it
+  // succeeds again.
+  auto Serial = cjpack::PackedArchiveReader::open(Data, Size, Limits);
+  auto Parallel = cjpack::PackedArchiveReader::open(Data, Size, Limits);
+  if (!Serial || !Parallel)
+    abort();
+  auto One = Serial->unpackAll(1);
+  auto Four = Parallel->unpackAll(4);
+  if (static_cast<bool>(One) != static_cast<bool>(Four))
+    abort();
+  if (!One) {
+    if (One.code() != Four.code() || One.message() != Four.message())
+      abort();
+    return 0;
+  }
+  if (One->size() != Four->size())
+    abort();
+  for (size_t I = 0; I < One->size(); ++I)
+    if (cjpack::writeClassFile((*One)[I]) !=
+        cjpack::writeClassFile((*Four)[I]))
+      abort();
   return 0;
 }

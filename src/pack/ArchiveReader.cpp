@@ -8,6 +8,10 @@
 #include "pack/Materialize.h"
 #include "pack/Streams.h"
 #include "pack/Transcode.h"
+#include "support/ThreadPool.h"
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 
 using namespace cjpack;
 
@@ -19,7 +23,9 @@ struct PackedArchiveReader::ShardState {
   /// shard: the adaptive coder state is sequential by construction and
   /// materialization reads the model another decode could be growing.
   std::mutex Mu;
-  /// True once prepareShardLocked ran (successfully or not).
+  /// True once inflateShardLocked ran (successfully or not).
+  bool Inflated = false;
+  /// True once prepareShardLocked ran past the inflate.
   bool Prepared = false;
   StreamSet S;
   Model M;
@@ -84,20 +90,31 @@ PackedArchiveReader::ShardState *PackedArchiveReader::shardSlot(size_t K) {
   return States[K].get();
 }
 
+Error PackedArchiveReader::inflateShardLocked(ShardState &St, size_t K) {
+  if (!St.Inflated) {
+    St.Inflated = true;
+    ByteReader R(Frames.blob(Archive, K));
+    St.Fail = St.S.deserialize(R, Limits, Budget.get());
+    if (!St.Fail && !R.atEnd())
+      St.Fail = makeError(ErrorCode::Corrupt,
+                          "reader: trailing bytes in shard blob");
+  }
+  return St.Fail;
+}
+
 Error PackedArchiveReader::prepareShardLocked(ShardState &St, size_t K) {
-  ByteReader R(Frames.blob(Archive, K));
-  if (auto Err = St.S.deserialize(R, Limits, Budget.get()))
-    return Err;
-  if (!R.atEnd())
-    return makeError(ErrorCode::Corrupt,
-                     "reader: trailing bytes in shard blob");
+  if (St.Prepared || inflateShardLocked(St, K))
+    return St.Fail;
+  St.Prepared = true;
   St.Dec = makeRefDecoder(Header.Scheme);
-  if (auto Err = seedShardModel(St.M, *St.Dec, Header, &Frames.Dict))
-    return Err;
-  St.Ctx.reset(
-      new DecodeContext{St.M, *St.Dec, St.S, Header.Scheme, Limits});
-  St.T.reset(new Transcriber<DecodeContext>(*St.Ctx));
-  return St.T->beginArchive(St.Declared);
+  St.Fail = seedShardModel(St.M, *St.Dec, Header, &Frames.Dict);
+  if (!St.Fail) {
+    St.Ctx.reset(
+        new DecodeContext{St.M, *St.Dec, St.S, Header.Scheme, Limits});
+    St.T.reset(new Transcriber<DecodeContext>(*St.Ctx));
+    St.Fail = St.T->beginArchive(St.Declared);
+  }
+  return St.Fail;
 }
 
 Error PackedArchiveReader::decodeUpTo(ShardState &St, uint32_t Ordinal) {
@@ -113,18 +130,10 @@ Error PackedArchiveReader::decodeUpTo(ShardState &St, uint32_t Ordinal) {
 }
 
 Expected<ClassFile>
-PackedArchiveReader::materializeEntry(const ArchiveIndex::ClassEntry &E) {
-  ShardState &St = *shardSlot(E.Shard);
-  // Hold the shard lock through materialization: another thread's
-  // decodeUpTo on this shard grows St.M and St.Recs, which
-  // materializeClass reads.
-  std::lock_guard<std::mutex> Lock(St.Mu);
-  if (!St.Prepared) {
-    St.Fail = prepareShardLocked(St, E.Shard);
-    St.Prepared = true;
-  }
-  if (St.Fail)
-    return St.Fail;
+PackedArchiveReader::materializeLocked(ShardState &St,
+                                       const ArchiveIndex::ClassEntry &E) {
+  if (auto Err = prepareShardLocked(St, E.Shard))
+    return Err;
   if (E.Ordinal >= St.Declared)
     return makeError(ErrorCode::Corrupt,
                      "reader: index claims more classes than the shard "
@@ -145,18 +154,95 @@ PackedArchiveReader::unpackClass(const std::string &InternalName) {
   if (!E)
     return Error::failure("reader: class '" + InternalName +
                           "' not in archive index");
-  return materializeEntry(*E);
+  ShardState &St = *shardSlot(E->Shard);
+  // Hold the shard lock through materialization: another thread's
+  // decodeUpTo on this shard grows St.M and St.Recs, which
+  // materializeClass reads.
+  std::lock_guard<std::mutex> Lock(St.Mu);
+  return materializeLocked(St, *E);
 }
 
-Expected<std::vector<ClassFile>> PackedArchiveReader::unpackAll() {
-  std::vector<ClassFile> Out;
-  Out.reserve(Frames.Index.Classes.size());
-  for (const ArchiveIndex::ClassEntry &E : Frames.Index.Classes) {
-    auto CF = materializeEntry(E);
-    if (!CF)
-      return CF.takeError();
-    Out.push_back(std::move(*CF));
+Expected<std::vector<ClassFile>>
+PackedArchiveReader::unpackAll(unsigned Threads) {
+  const std::vector<ArchiveIndex::ClassEntry> &Entries = Frames.Index.Classes;
+
+  // Each shard the index touches, in first-touch order, with the
+  // positions of its entries in index order.
+  struct ShardWork {
+    ShardState *St = nullptr;
+    size_t K = 0;
+    std::vector<size_t> Entries;
+    /// The shard's first failing entry and its error, if any.
+    size_t FailAt = SIZE_MAX;
+    Error Fail;
+  };
+  std::vector<ShardWork> Work;
+  std::vector<size_t> WorkOf(shardCount(), SIZE_MAX);
+  for (size_t I = 0; I < Entries.size(); ++I) {
+    size_t &J = WorkOf[Entries[I].Shard];
+    if (J == SIZE_MAX) {
+      J = Work.size();
+      Work.emplace_back();
+      Work.back().St = shardSlot(Entries[I].Shard);
+      Work.back().K = Entries[I].Shard;
+    }
+    Work[J].Entries.push_back(I);
   }
+
+  // Inflate serially, in first-touch order, so the shared budget is
+  // charged exactly as a serial walk of the index charges it. A failure
+  // latches in its shard and surfaces at the shard's first entry below.
+  for (ShardWork &W : Work) {
+    std::lock_guard<std::mutex> Lock(W.St->Mu);
+    (void)inflateShardLocked(*W.St, W.K);
+  }
+
+  // Each shard then decodes and materializes its own entries, in index
+  // order, into preallocated slots, stopping at its first failure.
+  // Shards share no decode state, so they run concurrently.
+  std::vector<ClassFile> Out(Entries.size());
+  auto DecodeShard = [this, &Entries, &Out](ShardWork &W) {
+    std::lock_guard<std::mutex> Lock(W.St->Mu);
+    for (size_t I : W.Entries) {
+      auto CF = materializeLocked(*W.St, Entries[I]);
+      if (!CF) {
+        W.FailAt = I;
+        W.Fail = CF.takeError();
+        return;
+      }
+      Out[I] = std::move(*CF);
+    }
+  };
+  // The calling thread claims shards too: it would only wait otherwise,
+  // and what it allocates reuses its own heap.
+  std::atomic<size_t> Next{0};
+  auto Drain = [&Work, &Next, &DecodeShard] {
+    for (size_t J; (J = Next.fetch_add(1)) < Work.size();)
+      DecodeShard(Work[J]);
+  };
+  unsigned Workers = static_cast<unsigned>(std::min<size_t>(
+      Threads ? Threads : ThreadPool::defaultThreadCount(), Work.size()));
+  if (Workers <= 1) {
+    Drain();
+  } else {
+    ThreadPool Pool(Workers - 1);
+    std::vector<std::future<void>> Done;
+    Done.reserve(Workers - 1);
+    for (unsigned I = 1; I < Workers; ++I)
+      Done.push_back(Pool.submit(Drain));
+    Drain();
+    for (std::future<void> &F : Done)
+      F.get();
+  }
+
+  // The error of the first failing entry in index order, whatever the
+  // thread count: every entry before it decoded successfully.
+  const ShardWork *First = nullptr;
+  for (const ShardWork &W : Work)
+    if (W.FailAt != SIZE_MAX && (!First || W.FailAt < First->FailAt))
+      First = &W;
+  if (First)
+    return First->Fail;
   return Out;
 }
 

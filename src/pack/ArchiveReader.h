@@ -98,11 +98,18 @@ public:
   /// truncated blob fails with the usual typed taxonomy.
   Expected<ClassFile> unpackClass(const std::string &InternalName);
 
-  /// Decodes every indexed class, in archive order. Equivalent to
-  /// unpackClass over classNames(), sharing the same shard cache. This
-  /// is how unpackClasses decodes version 3: materialized classes own
-  /// their bytes, so they outlive the reader.
-  Expected<std::vector<ClassFile>> unpackAll();
+  /// Decodes every indexed class, in archive order, on \p Threads
+  /// workers (0 = one per hardware thread), with the result of
+  /// unpackClass over classNames(): the same classes, or the error of
+  /// the first failing entry in index order, for any thread count. The
+  /// blobs not yet inflated are inflated first, serially, in the order
+  /// the index first touches them, so the budget is charged as a serial
+  /// walk charges it. Then each shard decodes its own entries under its
+  /// mutex, concurrently with the other shards, on the calling thread
+  /// and Threads - 1 pool workers; one shard or one thread runs inline
+  /// and creates no pool. This is how unpackClasses decodes version 3:
+  /// materialized classes own their bytes, so they outlive the reader.
+  Expected<std::vector<ClassFile>> unpackAll(unsigned Threads = 0);
 
   /// Total inflate output charged so far (dictionary + every shard
   /// blob decoded yet). The lazy-fewer-bytes property is observable
@@ -124,16 +131,24 @@ private:
   /// decodes.
   ShardState *shardSlot(size_t K);
 
-  /// Deserializes and prepares shard \p K's blob into \p St. Caller
+  /// Inflates shard \p K's blob into \p St on first use, charged to the
+  /// budget, and returns the shard's latched failure, if any. Caller
   /// holds St's mutex.
+  Error inflateShardLocked(ShardState &St, size_t K);
+
+  /// Makes shard \p K ready to decode on first use: inflates it if
+  /// needed, then seeds its model and reads its directory. Returns the
+  /// shard's latched failure, if any. Caller holds St's mutex.
   Error prepareShardLocked(ShardState &St, size_t K);
 
   /// Decodes records of shard \p St up to and including \p Ordinal.
   /// Caller holds St's mutex.
   Error decodeUpTo(ShardState &St, uint32_t Ordinal);
 
-  /// Materializes one indexed class entry from its decoded record.
-  Expected<ClassFile> materializeEntry(const ArchiveIndex::ClassEntry &E);
+  /// Materializes index entry \p E from its shard \p St, preparing and
+  /// decoding the shard as far as \p E needs. Caller holds St's mutex.
+  Expected<ClassFile> materializeLocked(ShardState &St,
+                                        const ArchiveIndex::ClassEntry &E);
 
   std::span<const uint8_t> Archive;
   ArchiveHeader Header;

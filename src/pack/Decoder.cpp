@@ -86,27 +86,32 @@ cjpack::unpackClasses(std::span<const uint8_t> Archive,
   const ArchiveHeader &H = *Header;
 
   if (H.Version == FormatVersionIndexed) {
-    // The reader runs every index check. Materialized classes own their
-    // bytes, so they outlive it.
+    // The reader runs every index check and charges its own budget, one
+    // per call here. Materialized classes own their bytes, so they
+    // outlive it.
     auto Reader =
         PackedArchiveReader::open(Archive.data(), Archive.size(), Limits);
     if (!Reader)
       return Reader.takeError();
-    return Reader->unpackAll();
+    return Reader->unpackAll(Options.Threads);
   }
 
+  // One inflate budget for the whole call. Every inflate below runs
+  // serially, before any shard decodes, so the budget is charged in the
+  // same order for any thread count.
+  DecodeBudget Budget(Limits);
   if (H.Version == FormatVersionSerial) {
     StreamSet S;
-    if (auto E = S.deserialize(R, Limits))
+    if (auto E = S.deserialize(R, Limits, &Budget))
       return E;
     return decodeShardStreams(S, H, /*Dict=*/nullptr, Limits);
   }
 
-  auto Dict = SharedDictionary::deserialize(R, Limits);
+  auto Dict = SharedDictionary::deserialize(R, Limits, &Budget);
   if (!Dict)
     return Dict.takeError();
 
-  auto Shards = deserializeShardedStreams(R, Limits);
+  auto Shards = deserializeShardedStreams(R, Limits, &Budget);
   if (!Shards)
     return Shards.takeError();
 

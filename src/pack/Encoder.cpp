@@ -32,6 +32,7 @@
 #include "support/ThreadPool.h"
 #include "support/VarInt.h"
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <thread>
@@ -586,6 +587,13 @@ ShardPlan remapPlanForDictionary(ShardPlan Plan,
   return Out;
 }
 
+/// Workers for a pool whose widest phase has \p Tasks independent
+/// tasks, given \p Threads (0 = one per hardware thread).
+unsigned workerCount(unsigned Threads, size_t Tasks) {
+  size_t Want = Threads ? Threads : ThreadPool::defaultThreadCount();
+  return static_cast<unsigned>(std::min(Want, std::max<size_t>(Tasks, 1)));
+}
+
 /// The archive header \p Options describe, for format \p Version.
 ArchiveHeader archiveHeader(uint8_t Version, const PackOptions &Options) {
   // The whole-archive backend choice; zlib (the default) maps to 0,
@@ -701,11 +709,13 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     Result.Trace.Shards[K].Classes = Slices[K].size();
   }
 
-  // No more workers than shards: one shard runs on one worker.
-  unsigned Workers =
-      Options.Threads ? Options.Threads : ThreadPool::defaultThreadCount();
-  ThreadPool Pool(static_cast<unsigned>(
-      std::min<size_t>(Workers, ShardCount)));
+  // No more workers than the widest phase has tasks: one per shard in
+  // the codec passes, one per stream (per shard, for version 3) in the
+  // compression batch.
+  size_t StreamTasks =
+      NumStreams * (Options.RandomAccessIndex ? ShardCount : 1);
+  ThreadPool Pool(
+      workerCount(Options.Threads, std::max(ShardCount, StreamTasks)));
 
   // Counting passes run one per shard, concurrently.
   Stopwatch ModelTimer;
@@ -788,17 +798,13 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     // touching the others. Per-blob compression costs a little ratio
     // versus v2's joint per-stream compression — that is the price of
     // random access.
-    std::vector<std::vector<uint8_t>> Blobs;
-    Blobs.reserve(ShardCount);
+    std::vector<std::vector<uint8_t>> Blobs = serializeStreamSets(
+        ShardStreams, Options.backendPlan(), &Result.Sizes, &Pool);
     ArchiveIndex Index;
     uint64_t Offset = 0;
     for (size_t K = 0; K < ShardCount; ++K) {
-      StreamSizes BlobSizes;
-      Blobs.push_back(
-          ShardStreams[K].serialize(Options.backendPlan(), &BlobSizes));
-      Result.Sizes.add(BlobSizes);
-      Index.Shards.push_back({Offset, Blobs.back().size()});
-      Offset += Blobs.back().size();
+      Index.Shards.push_back({Offset, Blobs[K].size()});
+      Offset += Blobs[K].size();
       for (size_t I = 0; I < Slices[K].size(); ++I)
         Index.Classes.push_back({std::string(Slices[K][I]->thisClassName()),
                                  static_cast<uint32_t>(K),
@@ -819,13 +825,13 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     Dict.serialize(W, Options.CompressStreams);
     Result.DictionaryBytes = W.size() - DictStart;
     W.writeBytes(serializeShardedStreams(ShardStreams, Options.backendPlan(),
-                                         &Result.Sizes));
+                                         &Result.Sizes, &Pool));
   } else {
     // Version 1: the lone shard's streams, with no dictionary frame —
     // one shard shares definitions with nobody.
     assert(Dict.empty() && "a single shard has no shared dictionary");
     W.writeBytes(ShardStreams[0].serialize(Options.backendPlan(),
-                                           &Result.Sizes));
+                                           &Result.Sizes, &Pool));
   }
   Result.Archive = W.take();
   Result.Trace.Phases.DeflateSec = DeflateTimer.seconds();
@@ -838,6 +844,46 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
 }
 
 namespace {
+
+/// Parses and prepares each of \p Classes into the same slot of
+/// \p Parsed, on the calling thread and up to \p Threads - 1 pool
+/// workers (0 = one per hardware thread); one thread runs inline and
+/// creates no pool. Classes parse independently; the error returned is
+/// the first failing class's in input order, whatever the thread count.
+Error parseForPacking(const std::vector<NamedClass> &Classes,
+                      std::vector<ClassFile> &Parsed, unsigned Threads) {
+  std::vector<Error> Failed(Classes.size());
+  std::atomic<size_t> Next{0};
+  auto Drain = [&Classes, &Parsed, &Failed, &Next] {
+    for (size_t I; (I = Next.fetch_add(1)) < Classes.size();) {
+      const NamedClass &C = Classes[I];
+      auto CF = parseClassFile(C.Data);
+      if (!CF)
+        Failed[I] = Error::failure(C.Name + ": " + CF.message());
+      else if (auto E = prepareForPacking(*CF))
+        Failed[I] = Error::failure(C.Name + ": " + E.message());
+      else
+        Parsed[I] = std::move(*CF);
+    }
+  };
+  unsigned Workers = workerCount(Threads, Classes.size());
+  if (Workers <= 1) {
+    Drain();
+  } else {
+    ThreadPool Pool(Workers - 1);
+    std::vector<std::future<void>> Done;
+    Done.reserve(Workers - 1);
+    for (unsigned I = 1; I < Workers; ++I)
+      Done.push_back(Pool.submit(Drain));
+    Drain();
+    for (std::future<void> &F : Done)
+      F.get();
+  }
+  for (Error &E : Failed)
+    if (E)
+      return E;
+  return Error::success();
+}
 
 /// The StripUnreferenced gate: the packed archive must restore exactly
 /// the stripped classes (order-independent byte comparison, since
@@ -884,16 +930,9 @@ Expected<PackResult>
 cjpack::packClassBytes(const std::vector<NamedClass> &Classes,
                        const PackOptions &Options) {
   Stopwatch ParseTimer;
-  std::vector<ClassFile> Parsed;
-  Parsed.reserve(Classes.size());
-  for (const NamedClass &C : Classes) {
-    auto CF = parseClassFile(C.Data);
-    if (!CF)
-      return Error::failure(C.Name + ": " + CF.message());
-    if (auto E = prepareForPacking(*CF))
-      return Error::failure(C.Name + ": " + E.message());
-    Parsed.push_back(std::move(*CF));
-  }
+  std::vector<ClassFile> Parsed(Classes.size());
+  if (auto E = parseForPacking(Classes, Parsed, Options.Threads))
+    return E;
   analysis::StripStats Strip;
   size_t BaselineDiags = 0;
   if (Options.StripUnreferenced) {

@@ -80,8 +80,10 @@ struct PackOptions {
   /// hardware_concurrency — use an explicit count when archives must
   /// reproduce across machines.
   unsigned Shards = 1;
-  /// Worker threads used to encode shards (0 = one per hardware
-  /// thread), capped at the shard count. Has no effect on the bytes.
+  /// Worker threads for the parallel stages (0 = one per hardware
+  /// thread): per-class parse and prepare in packClassBytes, the
+  /// per-shard codec passes, and per-stream compression. Capped at the
+  /// widest stage's task count. Has no effect on the bytes.
   unsigned Threads = 0;
   /// Drop private members (and, via re-canonicalization, their
   /// constant-pool entries) that no reference anywhere in the archive
@@ -161,6 +163,9 @@ Expected<PackResult> packClasses(const std::vector<ClassFile> &Classes,
                                  const PackOptions &Options);
 
 /// Parses, prepares (strip + canonicalize), and packs raw classfiles.
+/// Classes parse and prepare concurrently on Options.Threads workers; a
+/// class that fails is reported as "<name>: <error>", the first such
+/// class in input order whatever the thread count.
 Expected<PackResult> packClassBytes(const std::vector<NamedClass> &Classes,
                                     const PackOptions &Options);
 
@@ -168,8 +173,9 @@ Expected<PackResult> packClassBytes(const std::vector<NamedClass> &Classes,
 /// make the decoder allocate or compute; the defaults accommodate any
 /// real archive, and every violation is a typed LimitExceeded error.
 struct UnpackOptions {
-  /// Worker threads used to decode shards (0 = one per hardware
-  /// thread). Has no effect on the result.
+  /// Worker threads used to decode shards, of version-2 and version-3
+  /// archives alike (0 = one per hardware thread). Has no effect on the
+  /// result.
   unsigned Threads = 0;
   /// Resource caps enforced against every wire-declared length/count.
   DecodeLimits Limits;
@@ -177,9 +183,12 @@ struct UnpackOptions {
 
 /// Unpacks an archive of any format version into classfile models, in
 /// archive order. Sharded archives decode their shards on \p Threads
-/// workers (0 = one per hardware thread); the result is identical for
-/// any thread count. Version 3 decodes serially through
-/// PackedArchiveReader, so every index check runs.
+/// workers (0 = one per hardware thread); version 3 goes through
+/// PackedArchiveReader::unpackAll, so every index check runs. Each call
+/// charges one DecodeBudget, built from the limits, for every inflate
+/// on every version, so Limits.MaxInflateBytes bounds the whole decode.
+/// The inflates run serially before any shard decodes, so the classes,
+/// or the error, are identical for any thread count.
 ///
 /// Hostile-input contract: every count, length, and reference id read
 /// from the wire is validated before use, so a corrupt or truncated

@@ -5,7 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "pack/Streams.h"
+#include "support/ThreadPool.h"
 #include "support/VarInt.h"
+#include <algorithm>
+#include <numeric>
 
 using namespace cjpack;
 
@@ -24,6 +27,58 @@ uint8_t packStream(BackendId Plan, const std::vector<uint8_t> &Raw,
     Stored.clear();
   }
   return static_cast<uint8_t>(BackendId::Store);
+}
+
+/// One stream after its final stage: the wire method byte and, unless
+/// the stream is stored raw, the compressed bytes.
+struct PackedStream {
+  uint8_t Method = 0;
+  std::vector<uint8_t> Compressed;
+
+  /// The bytes the archive stores for raw stream \p Raw.
+  std::span<const uint8_t> stored(const std::vector<uint8_t> &Raw) const {
+    if (Method == static_cast<uint8_t>(BackendId::Store))
+      return Raw;
+    return Compressed;
+  }
+};
+
+/// Runs packStream over a batch of raw streams: whole stream sets laid
+/// end to end, so \p Raw[I] is stream I % NumStreams and compresses
+/// with that stream's planned backend. Streams are independent
+/// compression units, so on \p Pool (when it has more than one worker)
+/// they compress concurrently, the largest first so the few long ones
+/// start early. The results come back in batch order either way, so the
+/// bytes never depend on the schedule.
+std::vector<PackedStream>
+packStreams(std::span<const std::vector<uint8_t> *const> Raw,
+            const BackendPlan &Plan, ThreadPool *Pool) {
+  std::vector<PackedStream> Out(Raw.size());
+  auto Pack = [&Raw, &Plan, &Out](size_t I) {
+    Out[I].Method =
+        packStream(Plan.Stream[I % NumStreams], *Raw[I], Out[I].Compressed);
+  };
+  if (!Pool || Pool->size() < 2) {
+    for (size_t I = 0; I < Raw.size(); ++I)
+      Pack(I);
+    return Out;
+  }
+  std::vector<size_t> Order(Raw.size());
+  std::iota(Order.begin(), Order.end(), size_t{0});
+  std::stable_sort(Order.begin(), Order.end(), [&Raw](size_t A, size_t B) {
+    return Raw[A]->size() > Raw[B]->size();
+  });
+  std::vector<std::future<void>> Done;
+  Done.reserve(Order.size());
+  for (size_t I : Order)
+    Done.push_back(Pool->submit([&Pack, I] { Pack(I); }));
+  // Wait for every task before get() can rethrow: the tasks write into
+  // this frame's state.
+  for (std::future<void> &F : Done)
+    F.wait();
+  for (std::future<void> &F : Done)
+    F.get();
+  return Out;
 }
 
 /// Decodes one stream's stored bytes via its wire method byte. The
@@ -135,31 +190,34 @@ Expected<StoredStream> cjpack::readStreamEntry(ByteReader &R, unsigned Id,
 
 std::vector<uint8_t>
 cjpack::serializeShardedStreams(const std::vector<StreamSet> &Shards,
-                                const BackendPlan &Plan, StreamSizes *Sizes) {
+                                const BackendPlan &Plan, StreamSizes *Sizes,
+                                ThreadPool *Pool) {
+  std::vector<std::vector<uint8_t>> Joined(NumStreams);
+  std::vector<const std::vector<uint8_t> *> Batch;
+  Batch.reserve(NumStreams);
+  for (unsigned I = 0; I < NumStreams; ++I) {
+    for (const StreamSet &S : Shards) {
+      const std::vector<uint8_t> &Raw = S.raw(static_cast<StreamId>(I));
+      Joined[I].insert(Joined[I].end(), Raw.begin(), Raw.end());
+    }
+    Batch.push_back(&Joined[I]);
+  }
+  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Pool);
+
   ByteWriter W;
   writeVarUInt(W, Shards.size());
   for (unsigned I = 0; I < NumStreams; ++I) {
-    StreamId Id = static_cast<StreamId>(I);
-    std::vector<uint8_t> Joined;
-    for (const StreamSet &S : Shards) {
-      const std::vector<uint8_t> &Raw = S.raw(Id);
-      Joined.insert(Joined.end(), Raw.begin(), Raw.end());
-    }
-    size_t RawTotal = Joined.size();
-    std::vector<uint8_t> Stored;
-    uint8_t Method = packStream(Plan.Stream[I], Joined, Stored);
-    if (Method == 0)
-      Stored = std::move(Joined);
+    std::span<const uint8_t> Stored = Packed[I].stored(Joined[I]);
     size_t HeaderStart = W.size();
     W.writeU1(static_cast<uint8_t>(I));
-    W.writeU1(Method);
+    W.writeU1(Packed[I].Method);
     for (const StreamSet &S : Shards)
-      writeVarUInt(W, S.raw(Id).size());
+      writeVarUInt(W, S.raw(static_cast<StreamId>(I)).size());
     writeVarUInt(W, Stored.size());
     size_t HeaderLen = W.size() - HeaderStart;
     W.writeBytes(Stored);
     if (Sizes) {
-      Sizes->Raw[I] = RawTotal;
+      Sizes->Raw[I] = Joined[I].size();
       Sizes->Packed[I] = HeaderLen + Stored.size();
     }
   }
@@ -167,7 +225,8 @@ cjpack::serializeShardedStreams(const std::vector<StreamSet> &Shards,
 }
 
 Expected<std::vector<StreamSet>>
-cjpack::deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits) {
+cjpack::deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits,
+                                  DecodeBudget *Budget) {
   uint64_t Count = readVarUInt(R);
   if (R.hasError() || Count == 0 || Count > MaxShards)
     return makeError(ErrorCode::Corrupt,
@@ -180,7 +239,7 @@ cjpack::deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits) {
     if (!E)
       return E.takeError();
     auto Joined = unpackStream(E->Method, E->Stored,
-                               static_cast<size_t>(E->RawTotal), nullptr);
+                               static_cast<size_t>(E->RawTotal), Budget);
     if (!Joined)
       return Joined.takeError();
     size_t Offset = 0;
@@ -195,29 +254,47 @@ cjpack::deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits) {
 }
 
 std::vector<uint8_t> StreamSet::serialize(const BackendPlan &Plan,
-                                          StreamSizes *Sizes) const {
-  ByteWriter W;
-  for (unsigned I = 0; I < NumStreams; ++I) {
-    const std::vector<uint8_t> &Raw = Writers[I].data();
-    std::vector<uint8_t> Stored;
-    uint8_t Method = packStream(Plan.Stream[I], Raw, Stored);
-    if (Method == 0)
-      Stored = Raw;
-    size_t HeaderStart = W.size();
-    W.writeU1(static_cast<uint8_t>(I));
-    W.writeU1(Method);
-    writeVarUInt(W, Raw.size());
-    writeVarUInt(W, Stored.size());
-    size_t HeaderLen = W.size() - HeaderStart;
-    W.writeBytes(Stored);
-    if (Sizes) {
-      Sizes->Raw[I] = Raw.size();
-      // Charge each stream its directory header too, so per-category
-      // sums add up to the archive size.
-      Sizes->Packed[I] = HeaderLen + Stored.size();
+                                          StreamSizes *Sizes,
+                                          ThreadPool *Pool) const {
+  return std::move(serializeStreamSets({this, 1}, Plan, Sizes, Pool)[0]);
+}
+
+std::vector<std::vector<uint8_t>>
+cjpack::serializeStreamSets(std::span<const StreamSet> Sets,
+                            const BackendPlan &Plan, StreamSizes *Sizes,
+                            ThreadPool *Pool) {
+  std::vector<const std::vector<uint8_t> *> Batch;
+  Batch.reserve(Sets.size() * NumStreams);
+  for (const StreamSet &S : Sets)
+    for (unsigned I = 0; I < NumStreams; ++I)
+      Batch.push_back(&S.raw(static_cast<StreamId>(I)));
+  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Pool);
+
+  std::vector<std::vector<uint8_t>> Out;
+  Out.reserve(Sets.size());
+  for (size_t K = 0; K < Sets.size(); ++K) {
+    ByteWriter W;
+    for (unsigned I = 0; I < NumStreams; ++I) {
+      const std::vector<uint8_t> &Raw = *Batch[K * NumStreams + I];
+      const PackedStream &P = Packed[K * NumStreams + I];
+      std::span<const uint8_t> Stored = P.stored(Raw);
+      size_t HeaderStart = W.size();
+      W.writeU1(static_cast<uint8_t>(I));
+      W.writeU1(P.Method);
+      writeVarUInt(W, Raw.size());
+      writeVarUInt(W, Stored.size());
+      size_t HeaderLen = W.size() - HeaderStart;
+      W.writeBytes(Stored);
+      if (Sizes) {
+        Sizes->Raw[I] += Raw.size();
+        // Charge each stream its directory header too, so per-category
+        // sums add up to the archive size.
+        Sizes->Packed[I] += HeaderLen + Stored.size();
+      }
     }
+    Out.push_back(W.take());
   }
-  return W.take();
+  return Out;
 }
 
 Error StreamSet::deserialize(ByteReader &R, const DecodeLimits &Limits,

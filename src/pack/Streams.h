@@ -30,6 +30,8 @@
 
 namespace cjpack {
 
+class ThreadPool;
+
 /// Wire-format versions, written in the archive header after the
 /// magic. Version 1 is the original single-shard layout: header, then
 /// one serialized StreamSet. Version 2 is the sharded layout: header,
@@ -263,9 +265,11 @@ public:
   /// Serializes all written streams: per stream a header (id, method,
   /// raw size, stored size) followed by the bytes as stored by the
   /// stream's planned backend (falling back to store when compression
-  /// does not strictly shrink). \p Sizes receives the accounting.
-  std::vector<uint8_t> serialize(const BackendPlan &Plan,
-                                 StreamSizes *Sizes) const;
+  /// does not strictly shrink). The accounting is added to \p Sizes.
+  /// The streams compress on \p Pool's workers when given; the bytes
+  /// are the same without it.
+  std::vector<uint8_t> serialize(const BackendPlan &Plan, StreamSizes *Sizes,
+                                 ThreadPool *Pool = nullptr) const;
 
   /// Parses bytes produced by serialize. Declared lengths are checked
   /// against \p Limits.MaxStreamBytes before any allocation, and
@@ -303,6 +307,14 @@ Expected<StoredStream> readStreamEntry(ByteReader &R, unsigned Id,
                                        std::span<uint64_t> RawLens,
                                        const DecodeLimits &Limits);
 
+/// Serializes each of \p Sets as StreamSet::serialize does, compressing
+/// every set's streams as one batch on \p Pool (when given), so the
+/// version-3 shard blobs compress concurrently. The accounting of all
+/// sets is added to \p Sizes.
+std::vector<std::vector<uint8_t>>
+serializeStreamSets(std::span<const StreamSet> Sets, const BackendPlan &Plan,
+                    StreamSizes *Sizes, ThreadPool *Pool = nullptr);
+
 /// Serializes \p Shards into the version-2 grouped stream container.
 /// Each of the NumStreams streams stores its shards' bytes concatenated
 /// and compressed as one unit — per-shard compression would fragment
@@ -312,16 +324,19 @@ Expected<StoredStream> readStreamEntry(ByteReader &R, unsigned Id,
 /// order: id byte, method byte, one varint raw length per shard, varint
 /// stored length, stored bytes. The container is a pure function of the
 /// shards' contents. \p Sizes receives the per-stream accounting, with
-/// each stream charged its own directory header.
+/// each stream charged its own directory header. The joined streams
+/// compress on \p Pool's workers when given.
 std::vector<uint8_t> serializeShardedStreams(
     const std::vector<StreamSet> &Shards, const BackendPlan &Plan,
-    StreamSizes *Sizes);
+    StreamSizes *Sizes, ThreadPool *Pool = nullptr);
 
 /// Parses a container written by serializeShardedStreams back into
 /// per-shard stream sets, validating the shard count and every
-/// promised length against \p Limits before allocating.
+/// promised length against \p Limits before allocating. \p Budget,
+/// when non-null, is charged for every byte of inflate output.
 Expected<std::vector<StreamSet>>
-deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits = {});
+deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits = {},
+                          DecodeBudget *Budget = nullptr);
 
 } // namespace cjpack
 

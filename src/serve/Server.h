@@ -23,13 +23,15 @@
 ///     queued (the reader blocks past the cap — backpressure, not
 ///     disconnect).
 ///
-/// Isolation: every request decodes under its own DecodeBudget (built
-/// from ServerConfig::RequestLimits), so one hostile request exhausting
-/// its budget cannot poison the next. The exception is cached readers,
-/// whose budget (CacheLimits) spans the reader's cached lifetime — safe
-/// because a cached shard inflates exactly once, so total spend per
-/// archive is bounded by its raw shard bytes regardless of request
-/// count.
+/// Isolation: every request decodes under its own DecodeBudget, built
+/// from ServerConfig::RequestLimits by the library call it makes
+/// (unpackClasses builds one per call and charges every inflate of
+/// every archive version; readZip one per jar), so one hostile request
+/// exhausting its budget cannot poison the next. The exception is
+/// cached readers, whose budget (CacheLimits) spans the reader's cached
+/// lifetime — safe because a cached shard inflates exactly once, so
+/// total spend per archive is bounded by its raw shard bytes regardless
+/// of request count.
 ///
 /// Shutdown: requestStop() stops accepting, half-closes every active
 /// connection's read side, and lets in-flight requests finish and

@@ -15,8 +15,12 @@
 /// The defaults are generous (far above anything a legitimate archive
 /// produces) so existing callers never notice them; servers decoding
 /// untrusted uploads can tighten them per request. DecodeBudget holds
-/// the mutable spend counters; the inflate budget is shared across the
-/// shard decoder threads, hence atomic.
+/// the mutable spend counters. Who charges one: each unpackClasses call
+/// builds one and charges it for every inflate of every format version,
+/// serially, before any shard decodes; a PackedArchiveReader owns one
+/// for its lifetime, charged by open and by each shard blob it
+/// inflates; readZip builds one per call. Threads sharing one reader
+/// charge its budget concurrently, hence atomic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +60,9 @@ struct DecodeLimits {
   uint64_t MaxZipEntries = 1u << 16;
 };
 
-/// Mutable spend state for one decode operation. Shards decode
-/// concurrently against the same budget, so the counter is atomic.
+/// Mutable spend state for one decode operation. Requests on a shared
+/// reader charge the same budget from several threads, so the counter
+/// is atomic.
 class DecodeBudget {
 public:
   DecodeBudget() = default;

@@ -28,7 +28,10 @@ namespace cjpack {
 /// Parse covers classfile parsing + prepareForPacking (only populated by
 /// packClassBytes); Model covers the counting passes, dictionary build,
 /// and id remapping; Emit covers the emitting passes; Deflate covers
-/// stream serialization and compression.
+/// stream serialization and compression. Every phase but the dictionary
+/// build runs on the worker pool (classes parse, shards encode and
+/// streams compress concurrently), so each is the wall time of a
+/// parallel stage, not the CPU time it used.
 struct PhaseTimes {
   double ParseSec = 0;
   double ModelSec = 0;

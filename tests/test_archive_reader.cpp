@@ -95,6 +95,50 @@ TEST(ArchiveReader, EveryClassMatchesFullDecoder) {
               writeClassFile((*Reference)[I]));
 }
 
+// unpackAll decodes shards concurrently. What it restores must not
+// depend on the thread count: on fresh readers, on a reader whose
+// shards unpackClass already partly decoded (the order fuzz_reader
+// uses), and through unpackClasses.
+TEST(ArchiveReader, UnpackAllIsIndependentOfThreadCount) {
+  auto Classes = readerCorpus();
+  auto Packed = packIndexed(Classes, 4);
+  ASSERT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+  auto BytesOf = [](const std::vector<ClassFile> &CFs) {
+    std::vector<std::vector<uint8_t>> Out;
+    for (const ClassFile &CF : CFs)
+      Out.push_back(writeClassFile(CF));
+    return Out;
+  };
+
+  auto Serial = PackedArchiveReader::open(Packed->Archive);
+  ASSERT_TRUE(static_cast<bool>(Serial)) << Serial.message();
+  auto Want = Serial->unpackAll(1);
+  ASSERT_TRUE(static_cast<bool>(Want)) << Want.message();
+  ASSERT_EQ(Want->size(), Classes.size());
+
+  auto Parallel = PackedArchiveReader::open(Packed->Archive);
+  ASSERT_TRUE(static_cast<bool>(Parallel));
+  auto Got = Parallel->unpackAll(4);
+  ASSERT_TRUE(static_cast<bool>(Got)) << Got.message();
+  EXPECT_EQ(BytesOf(*Got), BytesOf(*Want));
+  // Blobs inflate serially either way, so the budget spends the same.
+  EXPECT_EQ(Parallel->inflatedBytes(), Serial->inflatedBytes());
+
+  auto Partial = PackedArchiveReader::open(Packed->Archive);
+  ASSERT_TRUE(static_cast<bool>(Partial));
+  auto Names = Partial->classNames();
+  ASSERT_TRUE(static_cast<bool>(Partial->unpackClass(Names[Names.size() / 2])));
+  Got = Partial->unpackAll(4);
+  ASSERT_TRUE(static_cast<bool>(Got)) << Got.message();
+  EXPECT_EQ(BytesOf(*Got), BytesOf(*Want));
+
+  for (unsigned Threads : {1u, 4u}) {
+    auto Out = unpackClasses(Packed->Archive, Threads);
+    ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
+    EXPECT_EQ(BytesOf(*Out), BytesOf(*Want)) << "threads " << Threads;
+  }
+}
+
 // The acceptance property of the whole feature: on a multi-shard
 // compressed archive, fetching one class inflates strictly fewer bytes
 // than a full unpack, as accounted by the DecodeBudget.

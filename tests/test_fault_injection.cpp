@@ -28,6 +28,7 @@
 #include "bytecode/Instruction.h"
 #include "classfile/ClassFile.h"
 #include "classfile/Reader.h"
+#include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "pack/ArchiveIndex.h"
 #include "pack/ArchiveReader.h"
@@ -120,7 +121,9 @@ void expectCleanUnpack(const std::vector<uint8_t> &Bytes,
 }
 
 /// Same contract for the lazy reader: open, list, decode every indexed
-/// class. Success or a typed error, never a crash or OOB read.
+/// class. Success or a typed error, never a crash or OOB read. The
+/// parallel decode, on a second fresh reader, must agree exactly with
+/// the serial one: the same classes, or the same error.
 void expectCleanReader(const std::vector<uint8_t> &Bytes, const char *What,
                        size_t Detail) {
   auto Reader = PackedArchiveReader::open(Bytes, testLimits());
@@ -131,13 +134,28 @@ void expectCleanReader(const std::vector<uint8_t> &Bytes, const char *What,
         << Reader.message();
     return;
   }
-  auto All = Reader->unpackAll();
+  auto All = Reader->unpackAll(1);
   if (!All) {
     EXPECT_NE(All.code(), ErrorCode::Other)
         << What << " at " << Detail
         << ": lazy decode failure escaped the taxonomy: "
         << All.message();
   }
+  auto Parallel = PackedArchiveReader::open(Bytes, testLimits());
+  ASSERT_TRUE(static_cast<bool>(Parallel)) << What << " at " << Detail;
+  auto AllParallel = Parallel->unpackAll(4);
+  ASSERT_EQ(static_cast<bool>(AllParallel), static_cast<bool>(All))
+      << What << " at " << Detail << ": thread count changed the outcome";
+  if (!All) {
+    EXPECT_EQ(AllParallel.code(), All.code()) << What << " at " << Detail;
+    EXPECT_EQ(AllParallel.message(), All.message())
+        << What << " at " << Detail;
+    return;
+  }
+  ASSERT_EQ(AllParallel->size(), All->size()) << What << " at " << Detail;
+  for (size_t I = 0; I < All->size(); ++I)
+    EXPECT_EQ(writeClassFile((*AllParallel)[I]), writeClassFile((*All)[I]))
+        << What << " at " << Detail << ": class " << I;
 }
 
 void expectCleanClassfile(const std::vector<uint8_t> &Bytes,
@@ -339,6 +357,35 @@ TEST(FaultInjection, IndexedArchiveSweeps) {
     flipEverywhere(Archive, expectCleanReader);
     mutateRandomly(Archive, expectCleanReader,
                    /*Seed=*/11 + Shards, /*Rounds=*/5000);
+  }
+}
+
+// The whole-decode inflate bound holds for every version: each
+// unpackClasses call charges one budget on every path.
+TEST(FaultInjection, InflateBudgetBindsEveryVersion) {
+  CorpusSpec Spec;
+  Spec.Name = "inflatebudget";
+  Spec.Seed = 43;
+  Spec.NumClasses = 20;
+  std::vector<NamedClass> Classes = generateCorpus(Spec);
+  UnpackOptions Tight = testOptions();
+  Tight.Limits.MaxInflateBytes = 1000;
+  for (auto [Shards, Indexed] :
+       {std::pair{1u, false}, std::pair{4u, false}, std::pair{4u, true}}) {
+    PackOptions Options;
+    Options.Shards = Shards;
+    Options.RandomAccessIndex = Indexed;
+    auto Packed = packClassBytes(Classes, Options);
+    ASSERT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+    int Version = Packed->Archive[4];
+    ASSERT_TRUE(static_cast<bool>(
+        unpackClasses(Packed->Archive, testOptions())))
+        << "v" << Version;
+    auto Out = unpackClasses(Packed->Archive, Tight);
+    ASSERT_FALSE(static_cast<bool>(Out))
+        << "v" << Version << " decoded past its inflate budget";
+    EXPECT_EQ(Out.code(), ErrorCode::LimitExceeded)
+        << "v" << Version << ": " << Out.message();
   }
 }
 

@@ -26,7 +26,7 @@ using namespace cjpack;
 
 namespace {
 
-std::vector<ClassFile> preparedCorpus(uint64_t Seed, unsigned NumClasses) {
+CorpusSpec parallelSpec(uint64_t Seed, unsigned NumClasses) {
   CorpusSpec S;
   S.Name = "parallel";
   S.Seed = Seed;
@@ -34,7 +34,12 @@ std::vector<ClassFile> preparedCorpus(uint64_t Seed, unsigned NumClasses) {
   S.NumPackages = 4;
   S.MeanMethods = 6;
   S.MeanStatements = 10;
-  std::vector<ClassFile> Classes = generateCorpusClasses(S);
+  return S;
+}
+
+std::vector<ClassFile> preparedCorpus(uint64_t Seed, unsigned NumClasses) {
+  std::vector<ClassFile> Classes =
+      generateCorpusClasses(parallelSpec(Seed, NumClasses));
   for (ClassFile &CF : Classes)
     EXPECT_FALSE(static_cast<bool>(prepareForPacking(CF)));
   return Classes;
@@ -121,6 +126,54 @@ TEST(ParallelPack, ArchiveBytesAreDeterministic) {
   auto Eight = packClasses(Classes, O);
   ASSERT_TRUE(static_cast<bool>(One) && static_cast<bool>(Eight));
   EXPECT_EQ(One->Archive, Eight->Archive);
+
+  // packClassBytes also parses, prepares and compresses on the pool.
+  // Every version, under every backend, packs to the same bytes at any
+  // thread count.
+  std::vector<NamedClass> Raw = generateCorpus(parallelSpec(7004, 32));
+  struct Layout {
+    const char *Name;
+    unsigned Shards;
+    bool Indexed;
+  };
+  for (Layout L : {Layout{"v1", 1, false}, Layout{"v2", 4, false},
+                   Layout{"v3", 4, true}}) {
+    for (BackendId B : {BackendId::Store, BackendId::Zlib,
+                        BackendId::Huffman, BackendId::Arith}) {
+      PackOptions P;
+      P.Shards = L.Shards;
+      P.RandomAccessIndex = L.Indexed;
+      P.Backend = B;
+      std::vector<uint8_t> Serial;
+      for (unsigned Threads : {1u, 2u, 8u}) {
+        P.Threads = Threads;
+        auto Packed = packClassBytes(Raw, P);
+        ASSERT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+        if (Threads == 1)
+          Serial = Packed->Archive;
+        else
+          EXPECT_EQ(Packed->Archive, Serial)
+              << L.Name << " backend " << static_cast<int>(B)
+              << " threads " << Threads;
+      }
+    }
+  }
+
+  // With two unparseable classes, the first in input order is the one
+  // reported, at any thread count.
+  Raw[5].Data.resize(9);
+  Raw[20].Data.resize(9);
+  PackOptions P;
+  P.Shards = 4;
+  P.Threads = 1;
+  auto BadOne = packClassBytes(Raw, P);
+  P.Threads = 8;
+  auto BadEight = packClassBytes(Raw, P);
+  ASSERT_FALSE(static_cast<bool>(BadOne));
+  ASSERT_FALSE(static_cast<bool>(BadEight));
+  EXPECT_EQ(BadOne.message().rfind(Raw[5].Name + ": ", 0), 0u)
+      << BadOne.message();
+  EXPECT_EQ(BadEight.message(), BadOne.message());
 }
 
 TEST(ParallelPack, ShardCountClampsToClassCount) {
