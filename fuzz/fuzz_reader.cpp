@@ -9,7 +9,8 @@
 // setup, and single-class materialization — the random-access surface.
 // Where fuzz_unpack reaches the reader only through the full sweep,
 // this target also drives the point lookup, so a shard can decode a
-// prefix before the sweep. Any outcome but a clean Expected is a bug.
+// prefix before the sweep. Any outcome but a typed Error, or classes
+// meeting the restore contract (RestoreContract.h), is a bug.
 //
 // The sweep decodes shards concurrently, so the target also checks that
 // the thread count changes nothing: two fresh readers decoding on one
@@ -18,9 +19,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "classfile/Writer.h"
+#include "RestoreContract.h"
 #include "pack/ArchiveReader.h"
-#include <cstdlib>
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   cjpack::DecodeLimits Limits;
@@ -60,5 +60,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
     if (cjpack::writeClassFile((*One)[I]) !=
         cjpack::writeClassFile((*Four)[I]))
       abort();
+  requireValidCanonical(*One, Limits);
   return 0;
 }

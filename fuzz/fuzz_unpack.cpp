@@ -7,11 +7,12 @@
 // Feeds arbitrary bytes to unpackClasses, covering the archive header,
 // all three wire-format versions (version 3 through the lazy reader),
 // the shared dictionary, the sharded stream container, and the full
-// reference/bytecode decode path. Any outcome but a clean Expected is a
-// bug.
+// reference/bytecode decode path. Any outcome but a typed Error, or
+// classes meeting the restore contract (RestoreContract.h), is a bug.
 //
 //===----------------------------------------------------------------------===//
 
+#include "RestoreContract.h"
 #include "pack/Packer.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
@@ -24,6 +25,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   Options.Limits.MaxStreamBytes = 1u << 24;
   Options.Limits.MaxInflateBytes = 1u << 26;
   auto Result = cjpack::unpackClasses(Bytes, Options);
-  (void)Result; // a typed Error is the expected outcome on garbage
+  if (Result) // a typed Error is the expected outcome on garbage
+    requireValidCanonical(*Result, Options.Limits);
   return 0;
 }

@@ -268,9 +268,15 @@ uint32_t cjpack::encodedLength(const Insn &I, uint32_t Offset) {
   return 1;
 }
 
-std::vector<uint8_t> cjpack::encodeCode(const std::vector<Insn> &Insns) {
-  ByteWriter W;
-  for (const Insn &I : Insns) {
+namespace {
+
+/// The one bytecode writer: appends \p Insns to \p W, with instruction
+/// K's constant-pool operand \p CpIndexOf(K).
+template <typename CpIndexFn>
+void writeInsns(ByteWriter &W, std::span<const Insn> Insns,
+                CpIndexFn CpIndexOf) {
+  for (size_t K = 0; K < Insns.size(); ++K) {
+    const Insn &I = Insns[K];
     uint32_t Offset = static_cast<uint32_t>(W.size());
     assert(Offset == I.Offset && "instruction offsets out of sync");
     if (I.IsWide) {
@@ -295,11 +301,11 @@ std::vector<uint8_t> cjpack::encodeCode(const std::vector<Insn> &Insns) {
       W.writeU1(static_cast<uint8_t>(I.LocalIndex));
       break;
     case OpFormat::CpU1:
-      assert(I.CpIndex <= 0xFF && "ldc index must fit one byte");
-      W.writeU1(static_cast<uint8_t>(I.CpIndex));
+      assert(CpIndexOf(K) <= 0xFF && "ldc index must fit one byte");
+      W.writeU1(static_cast<uint8_t>(CpIndexOf(K)));
       break;
     case OpFormat::CpU2:
-      W.writeU2(I.CpIndex);
+      W.writeU2(CpIndexOf(K));
       break;
     case OpFormat::Branch2:
       W.writeU2(static_cast<uint16_t>(I.BranchTarget -
@@ -317,17 +323,17 @@ std::vector<uint8_t> cjpack::encodeCode(const std::vector<Insn> &Insns) {
       W.writeU1(static_cast<uint8_t>(I.Const));
       break;
     case OpFormat::InvokeInterface:
-      W.writeU2(I.CpIndex);
+      W.writeU2(CpIndexOf(K));
       W.writeU1(I.InvokeCount);
       W.writeU1(0);
       break;
     case OpFormat::InvokeDynamic:
-      W.writeU2(I.CpIndex);
+      W.writeU2(CpIndexOf(K));
       W.writeU1(0);
       W.writeU1(0);
       break;
     case OpFormat::MultiANewArray:
-      W.writeU2(I.CpIndex);
+      W.writeU2(CpIndexOf(K));
       W.writeU1(static_cast<uint8_t>(I.Const));
       break;
     case OpFormat::TableSwitch: {
@@ -359,5 +365,84 @@ std::vector<uint8_t> cjpack::encodeCode(const std::vector<Insn> &Insns) {
       break;
     }
   }
+}
+
+/// The target decodeCode reads back for a branch at \p At to \p Target
+/// written as a \p Width-byte delta (a delta that does not fit wraps).
+int64_t targetReadBack(uint32_t At, int32_t Target, unsigned Width) {
+  int64_t Delta = static_cast<int64_t>(Target) - At;
+  if (Width == 2)
+    return At + static_cast<int64_t>(
+                    static_cast<int16_t>(static_cast<uint16_t>(Delta)));
+  return At + static_cast<int64_t>(
+                  static_cast<int32_t>(static_cast<uint32_t>(Delta)));
+}
+
+Error encodeError(const char *What, uint32_t At) {
+  return makeError(ErrorCode::Corrupt, std::string("encodeCode: ") + What +
+                                           " at offset " +
+                                           std::to_string(At));
+}
+
+} // namespace
+
+std::vector<uint8_t> cjpack::encodeCode(const std::vector<Insn> &Insns) {
+  ByteWriter W;
+  writeInsns(W, Insns, [&](size_t K) { return Insns[K].CpIndex; });
+  return W.take();
+}
+
+Expected<std::vector<uint8_t>>
+cjpack::encodeCode(std::span<const Insn> Insns,
+                   std::span<const uint16_t> CpIndex) {
+  assert(CpIndex.size() == Insns.size() && "one cp index per instruction");
+  // Offsets and shapes first; they fix the code length every target
+  // must fall within.
+  uint32_t Len = 0;
+  for (size_t K = 0; K < Insns.size(); ++K) {
+    const Insn &I = Insns[K];
+    OpFormat F = opInfo(I.Opcode).Format;
+    if (I.Offset != Len)
+      return encodeError("instruction out of sync", Len);
+    if (I.IsWide ? I.Opcode != Op::IInc && F != OpFormat::LocalU1
+                 : F == OpFormat::Wide)
+      return encodeError("wide prefix on non-local opcode", Len);
+    if (F == OpFormat::TableSwitch &&
+        (I.SwitchHigh < I.SwitchLow ||
+         I.SwitchTargets.size() !=
+             static_cast<uint64_t>(static_cast<int64_t>(I.SwitchHigh) -
+                                   I.SwitchLow + 1)))
+      return encodeError("malformed tableswitch", Len);
+    if (F == OpFormat::LookupSwitch &&
+        I.SwitchMatches.size() != I.SwitchTargets.size())
+      return encodeError("malformed lookupswitch", Len);
+    if (F == OpFormat::CpU1 && CpIndex[K] > 0xFF)
+      return encodeError("ldc operand above 255", Len);
+    Len += encodedLength(I, Len);
+  }
+  // Then every target, as decodeCode will read it back.
+  auto Outside = [&](int64_t T) { return T < 0 || T >= Len; };
+  for (const Insn &I : Insns) {
+    switch (OpFormat F = opInfo(I.Opcode).Format) {
+    case OpFormat::Branch2:
+    case OpFormat::Branch4:
+      if (Outside(targetReadBack(I.Offset, I.BranchTarget,
+                                 F == OpFormat::Branch2 ? 2 : 4)))
+        return encodeError("branch target outside code", I.Offset);
+      break;
+    case OpFormat::TableSwitch:
+    case OpFormat::LookupSwitch:
+      if (Outside(targetReadBack(I.Offset, I.SwitchDefault, 4)))
+        return encodeError("switch target outside code", I.Offset);
+      for (int32_t T : I.SwitchTargets)
+        if (Outside(targetReadBack(I.Offset, T, 4)))
+          return encodeError("switch target outside code", I.Offset);
+      break;
+    default:
+      break;
+    }
+  }
+  ByteWriter W;
+  writeInsns(W, Insns, [&](size_t K) { return CpIndex[K]; });
   return W.take();
 }

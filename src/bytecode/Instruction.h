@@ -65,6 +65,17 @@ Expected<std::vector<Insn>> decodeCode(std::span<const uint8_t> Code);
 /// vectors built by the pack decoder which assigns offsets itself).
 std::vector<uint8_t> encodeCode(const std::vector<Insn> &Insns);
 
+/// Encodes \p Insns as encodeCode does, except that instruction K's
+/// constant-pool operand is \p CpIndex[K] rather than Insns[K].CpIndex
+/// (the unpacker's final indices, so its instructions are never
+/// copied). Fails with Corrupt, writing nothing, where decodeCode would
+/// not read the output back: an instruction off its encoded offset, a
+/// branch or switch target outside the code, a wide prefix on an
+/// opcode without a local operand, a switch whose target count does
+/// not match its bounds or keys, or an ldc operand above 255.
+Expected<std::vector<uint8_t>> encodeCode(std::span<const Insn> Insns,
+                                          std::span<const uint16_t> CpIndex);
+
 /// Computes the encoded length of \p I if it begins at \p Offset (switch
 /// padding depends on the offset).
 uint32_t encodedLength(const Insn &I, uint32_t Offset);

@@ -68,6 +68,8 @@ std::string ConstantPool::keyOf(const CpEntry &E) const {
 }
 
 uint16_t ConstantPool::addKeyed(CpEntry E) {
+  if (IndexPending)
+    rebuildIndex();
   std::string Key = keyOf(E);
   auto It = Dedup.find(Key);
   if (It != Dedup.end())
@@ -82,6 +84,7 @@ uint16_t ConstantPool::addKeyed(CpEntry E) {
 }
 
 void ConstantPool::rebuildIndex() {
+  IndexPending = false;
   Dedup.clear();
   for (uint16_t I = 1; I < count(); ++I)
     if (Entries[I].Tag != CpTag::None)

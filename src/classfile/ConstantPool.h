@@ -156,11 +156,17 @@ public:
   const std::shared_ptr<Arena> &arenaPtr() const { return Mem; }
 
 private:
+  /// Emits pools whose dedup index waits for the first add (a restored
+  /// class is usually only written).
+  friend class CanonicalPoolBuilder;
+
   uint16_t addKeyed(CpEntry E);
   std::string keyOf(const CpEntry &E) const;
 
   std::vector<CpEntry> Entries;
   std::unordered_map<std::string, uint16_t> Dedup;
+  /// Dedup does not cover Entries yet; the next add rebuilds it.
+  bool IndexPending = false;
   std::shared_ptr<Arena> Mem;
 };
 

@@ -6,10 +6,8 @@
 
 #include "classfile/Transform.h"
 #include "bytecode/Instruction.h"
+#include "classfile/CanonicalPool.h"
 #include "support/ByteBuffer.h"
-#include <algorithm>
-#include <map>
-#include <set>
 
 using namespace cjpack;
 
@@ -62,31 +60,36 @@ struct DecodedMethod {
   std::vector<Insn> Insns;
 };
 
-/// Sort keys placing entries in the canonical §2/§9 order.
-enum class CpGroup : uint8_t {
-  LdcConst,   ///< int/float/string referenced by a one-byte ldc
-  OtherConst, ///< remaining int/float/string
-  WideConst,  ///< long/double
-  ClassEntry,
-  MemberRef,
-  NameType,
-  Text,       ///< Utf8, sorted by content
-  Other,
+/// Per-index flags over the old pool.
+enum : uint8_t {
+  Reached = 1,    ///< reachable from the class structure
+  LdcOperand = 2, ///< operand of a one-byte ldc
 };
 
 class PoolCanonicalizer {
 public:
-  explicit PoolCanonicalizer(ClassFile &CF) : CF(CF) {}
+  explicit PoolCanonicalizer(ClassFile &CF)
+      : CF(CF), Flags(CF.CP.count(), 0) {}
 
   Error run() {
     if (auto E = decodeMethods())
       return E;
     markRoots();
     closeOverReferences();
-    if (auto E = assignNewIndices())
+    if (auto E = checkDangling())
       return E;
-    rebuildPool();
-    remapStructure();
+    // The new pool shares the class's arena: copied entries keep views
+    // into it, and attribute names the pool lacks are interned there.
+    CF.arena();
+    CanonicalPoolBuilder Pool(CF.CP.arenaPtr());
+    Handles = Pool.copyFrom(CF.CP, Flags);
+    for (uint16_t I = 1; I < Flags.size(); ++I)
+      if (Flags[I] & LdcOperand)
+        Pool.markLdc(Handles[I]);
+    addAttributeNames(Pool);
+    if (auto E = Pool.finish(CF.CP))
+      return E;
+    remapStructure(Pool);
     return Error::success();
   }
 
@@ -113,9 +116,17 @@ private:
     return Error::success();
   }
 
-  void mark(uint16_t Index) {
-    if (Index != 0)
-      Reachable.insert(Index);
+  void mark(uint16_t Index, uint8_t Bits = Reached) {
+    if (Index == 0)
+      return;
+    if (Index >= Flags.size()) {
+      if (!FirstOutOfRange || Index < FirstOutOfRange)
+        FirstOutOfRange = Index;
+      return;
+    }
+    if (!(Flags[Index] & Reached))
+      Work.push_back(Index);
+    Flags[Index] |= Bits | Reached;
   }
 
   void markRoots() {
@@ -145,281 +156,68 @@ private:
     for (const DecodedMethod &D : Methods) {
       for (const ExceptionTableEntry &E : D.Code.ExceptionTable)
         mark(E.CatchType);
-      for (const Insn &I : D.Insns) {
-        if (I.hasCpOperand()) {
-          mark(I.CpIndex);
-          if (I.Opcode == Op::Ldc)
-            LdcReferenced.insert(I.CpIndex);
-        }
-      }
+      for (const Insn &I : D.Insns)
+        if (I.hasCpOperand())
+          mark(I.CpIndex, I.Opcode == Op::Ldc ? LdcOperand : Reached);
     }
   }
 
   void closeOverReferences() {
-    std::vector<uint16_t> Work(Reachable.begin(), Reachable.end());
     while (!Work.empty()) {
-      uint16_t Index = Work.back();
+      const CpEntry &E = CF.CP.entry(Work.back());
       Work.pop_back();
-      if (!CF.CP.isValidIndex(Index))
-        continue;
-      const CpEntry &E = CF.CP.entry(Index);
-      auto Visit = [&](uint16_t Ref) {
-        if (Ref != 0 && Reachable.insert(Ref).second)
-          Work.push_back(Ref);
-      };
-      switch (E.Tag) {
-      case CpTag::Class:
-      case CpTag::String:
-      case CpTag::MethodType:
-      case CpTag::Module:
-      case CpTag::Package:
-      case CpTag::MethodHandle:
-        Visit(E.Ref1);
-        break;
-      case CpTag::FieldRef:
-      case CpTag::MethodRef:
-      case CpTag::InterfaceMethodRef:
-      case CpTag::NameAndType:
-      case CpTag::Dynamic:
-      case CpTag::InvokeDynamic:
-        Visit(E.Ref1);
-        Visit(E.Ref2);
-        break;
-      default:
+      unsigned N = CanonicalPoolBuilder::refFields(E.Tag);
+      if (N >= 1)
+        mark(E.Ref1);
+      if (N == 2)
+        mark(E.Ref2);
+    }
+  }
+
+  /// The smallest reachable index naming no entry is an error.
+  Error checkDangling() const {
+    uint16_t Dangling = FirstOutOfRange;
+    for (uint16_t I = 1; I < Flags.size(); ++I)
+      if ((Flags[I] & Reached) && CF.CP.entry(I).Tag == CpTag::None) {
+        Dangling = I;
         break;
       }
-    }
-  }
-
-  CpGroup groupOf(uint16_t Index, const CpEntry &E) const {
-    switch (E.Tag) {
-    case CpTag::Integer:
-    case CpTag::Float:
-    case CpTag::String:
-      return LdcReferenced.count(Index) ? CpGroup::LdcConst
-                                        : CpGroup::OtherConst;
-    case CpTag::Long:
-    case CpTag::Double:
-      return CpGroup::WideConst;
-    case CpTag::Class:
-      return CpGroup::ClassEntry;
-    case CpTag::FieldRef:
-    case CpTag::MethodRef:
-    case CpTag::InterfaceMethodRef:
-      return CpGroup::MemberRef;
-    case CpTag::NameAndType:
-      return CpGroup::NameType;
-    case CpTag::Utf8:
-      return CpGroup::Text;
-    default:
-      return CpGroup::Other;
-    }
-  }
-
-  /// A within-group sort key: tag first, then content. References sort
-  /// by the *content* they denote so equal pools sort identically
-  /// regardless of original numbering.
-  std::string sortKey(const CpEntry &E) const {
-    std::string Key;
-    Key.push_back(static_cast<char>(E.Tag));
-    auto AppendU64 = [&](uint64_t V) {
-      for (int Shift = 56; Shift >= 0; Shift -= 8)
-        Key.push_back(static_cast<char>(V >> Shift));
-    };
-    auto Utf8At = [&](uint16_t Ref) -> std::string_view {
-      if (!CF.CP.isValidIndex(Ref) || CF.CP.entry(Ref).Tag != CpTag::Utf8)
-        return {};
-      return CF.CP.utf8(Ref);
-    };
-    switch (E.Tag) {
-    case CpTag::Utf8:
-      Key += E.Text;
-      break;
-    case CpTag::Integer:
-    case CpTag::Float:
-    case CpTag::Long:
-    case CpTag::Double:
-      AppendU64(E.Bits);
-      break;
-    case CpTag::Class:
-    case CpTag::MethodType:
-    case CpTag::Module:
-    case CpTag::Package:
-      Key += Utf8At(E.Ref1);
-      break;
-    case CpTag::String:
-      Key += Utf8At(E.Ref1);
-      break;
-    case CpTag::NameAndType:
-      Key += Utf8At(E.Ref1);
-      Key.push_back('\0');
-      Key += Utf8At(E.Ref2);
-      break;
-    case CpTag::FieldRef:
-    case CpTag::MethodRef:
-    case CpTag::InterfaceMethodRef: {
-      const CpEntry &C = CF.CP.entry(E.Ref1);
-      if (C.Tag == CpTag::Class)
-        Key += Utf8At(C.Ref1);
-      Key.push_back('\0');
-      const CpEntry &NT = CF.CP.entry(E.Ref2);
-      if (NT.Tag == CpTag::NameAndType) {
-        Key += Utf8At(NT.Ref1);
-        Key.push_back('\0');
-        Key += Utf8At(NT.Ref2);
-      }
-      break;
-    }
-    default:
-      AppendU64(E.Ref1);
-      AppendU64(E.Ref2);
-      break;
-    }
-    return Key;
-  }
-
-  Error assignNewIndices() {
-    // Attribute names must live in the pool; synthesize Utf8 entries for
-    // any not already reachable so they participate in the sorted block.
-    std::set<std::string, std::less<>> AttrNames;
-    auto Collect = [&](const std::vector<AttributeInfo> &Attrs) {
-      for (const AttributeInfo &A : Attrs)
-        AttrNames.emplace(A.Name);
-    };
-    Collect(CF.Attributes);
-    for (const MemberInfo &F : CF.Fields)
-      Collect(F.Attributes);
-    for (const MemberInfo &M : CF.Methods)
-      Collect(M.Attributes);
-    for (const DecodedMethod &D : Methods)
-      Collect(D.Code.Attributes);
-    std::set<std::string, std::less<>> ReachableTexts;
-    for (uint16_t I : Reachable)
-      if (CF.CP.isValidIndex(I) && CF.CP.entry(I).Tag == CpTag::Utf8)
-        ReachableTexts.emplace(CF.CP.utf8(I));
-    for (const std::string &Name : AttrNames)
-      if (!ReachableTexts.count(Name))
-        SynthesizedTexts.push_back(Name);
-
-    struct Item {
-      CpGroup Group;
-      std::string Key;
-      uint16_t OldIndex; ///< 0 for synthesized Utf8 entries
-      const std::string *SynthText = nullptr;
-    };
-    std::vector<Item> Items;
-    for (uint16_t I : Reachable) {
-      if (!CF.CP.isValidIndex(I))
-        return makeError(ErrorCode::Corrupt,
-                         "canonicalize: dangling constant pool index " +
-                             std::to_string(I));
-      const CpEntry &E = CF.CP.entry(I);
-      Items.push_back({groupOf(I, E), sortKey(E), I, nullptr});
-    }
-    for (const std::string &Text : SynthesizedTexts) {
-      std::string Key;
-      Key.push_back(static_cast<char>(CpTag::Utf8));
-      Key += Text;
-      Items.push_back({CpGroup::Text, std::move(Key), 0, &Text});
-    }
-
-    std::sort(Items.begin(), Items.end(), [](const Item &A, const Item &B) {
-      if (A.Group != B.Group)
-        return A.Group < B.Group;
-      if (A.Key != B.Key)
-        return A.Key < B.Key;
-      return A.OldIndex < B.OldIndex;
-    });
-
-    uint16_t Next = 1;
-    for (const Item &It : Items) {
-      bool Wide =
-          It.OldIndex != 0 && CF.CP.entry(It.OldIndex).isWide();
-      if (It.OldIndex != 0)
-        OldToNew[It.OldIndex] = Next;
-      else
-        SynthIndex[*It.SynthText] = Next;
-      NewOrder.push_back(It.OldIndex == 0
-                             ? std::pair<uint16_t, const std::string *>(
-                                   0, It.SynthText)
-                             : std::pair<uint16_t, const std::string *>(
-                                   It.OldIndex, nullptr));
-      Next = static_cast<uint16_t>(Next + (Wide ? 2 : 1));
-      if (Next == 0)
-        return makeError(ErrorCode::LimitExceeded,
-                         "canonicalize: constant pool overflow");
-    }
-
-    for (uint16_t I : LdcReferenced)
-      if (OldToNew[I] > 255)
-        return makeError(ErrorCode::Corrupt,
-                         "canonicalize: cannot keep ldc constant below "
-                         "index 256");
+    if (Dangling)
+      return makeError(ErrorCode::Corrupt,
+                       "canonicalize: dangling constant pool index " +
+                           std::to_string(Dangling));
     return Error::success();
   }
 
-  uint16_t remap(uint16_t Old) const {
-    if (Old == 0)
-      return 0;
-    auto It = OldToNew.find(Old);
-    assert(It != OldToNew.end() && "remapping an unreachable cp index");
-    return It->second;
+  /// Attribute names must live in the pool; add every one in use, so a
+  /// name no reachable entry spells gets its own Utf8 entry.
+  void addAttributeNames(CanonicalPoolBuilder &Pool) {
+    auto Add = [&](const std::vector<AttributeInfo> &Attrs) {
+      for (const AttributeInfo &A : Attrs)
+        Pool.utf8(A.Name);
+    };
+    Add(CF.Attributes);
+    for (const MemberInfo &F : CF.Fields)
+      Add(F.Attributes);
+    for (const MemberInfo &M : CF.Methods)
+      Add(M.Attributes);
+    for (const DecodedMethod &D : Methods)
+      Add(D.Code.Attributes);
   }
 
-  void rebuildPool() {
-    // The replacement pool must share the class's arena: copied entries
-    // keep views into it, and the synthesized texts below are interned
-    // into it (SynthesizedTexts itself dies with this canonicalizer).
-    CF.arena();
-    ConstantPool NewCP(CF.CP.arenaPtr());
-    for (const auto &[OldIndex, SynthText] : NewOrder) {
-      if (SynthText) {
-        CpEntry E;
-        E.Tag = CpTag::Utf8;
-        E.Text = CF.arena().internString(*SynthText);
-        NewCP.appendRaw(std::move(E));
-        continue;
-      }
-      CpEntry E = CF.CP.entry(OldIndex);
-      switch (E.Tag) {
-      case CpTag::Class:
-      case CpTag::String:
-      case CpTag::MethodType:
-      case CpTag::Module:
-      case CpTag::Package:
-      case CpTag::MethodHandle:
-        E.Ref1 = remap(E.Ref1);
-        break;
-      case CpTag::FieldRef:
-      case CpTag::MethodRef:
-      case CpTag::InterfaceMethodRef:
-      case CpTag::NameAndType:
-      case CpTag::Dynamic:
-      case CpTag::InvokeDynamic:
-        E.Ref1 = remap(E.Ref1);
-        E.Ref2 = remap(E.Ref2);
-        break;
-      default:
-        break;
-      }
-      NewCP.appendRaw(std::move(E));
-    }
-    NewCP.rebuildIndex();
-    CF.CP = std::move(NewCP);
-  }
-
-  void remapStructure() {
-    CF.ThisClass = remap(CF.ThisClass);
-    CF.SuperClass = remap(CF.SuperClass);
+  void remapStructure(const CanonicalPoolBuilder &Pool) {
+    auto Remap = [&](uint16_t Old) { return Pool.index(Handles[Old]); };
+    CF.ThisClass = Remap(CF.ThisClass);
+    CF.SuperClass = Remap(CF.SuperClass);
     for (uint16_t &I : CF.Interfaces)
-      I = remap(I);
+      I = Remap(I);
     auto RemapMember = [&](MemberInfo &M) {
-      M.NameIndex = remap(M.NameIndex);
-      M.DescriptorIndex = remap(M.DescriptorIndex);
+      M.NameIndex = Remap(M.NameIndex);
+      M.DescriptorIndex = Remap(M.DescriptorIndex);
       for (AttributeInfo &A : M.Attributes) {
         if (A.Name == "ConstantValue" && A.Bytes.size() == 2) {
           ByteReader R(A.Bytes);
-          uint16_t V = remap(R.readU2());
+          uint16_t V = Remap(R.readU2());
           ByteWriter W;
           W.writeU2(V);
           A.Bytes = CF.arena().copy(W.data());
@@ -429,7 +227,7 @@ private:
           ByteWriter W;
           W.writeU2(N);
           for (uint16_t K = 0; K < N; ++K)
-            W.writeU2(remap(R.readU2()));
+            W.writeU2(Remap(R.readU2()));
           A.Bytes = CF.arena().copy(W.data());
         }
       }
@@ -440,10 +238,10 @@ private:
       RemapMember(M);
     for (DecodedMethod &D : Methods) {
       for (ExceptionTableEntry &E : D.Code.ExceptionTable)
-        E.CatchType = remap(E.CatchType);
+        E.CatchType = Remap(E.CatchType);
       for (Insn &I : D.Insns)
         if (I.hasCpOperand())
-          I.CpIndex = remap(I.CpIndex);
+          I.CpIndex = Remap(I.CpIndex);
       D.Code.Code = CF.arena().adopt(encodeCode(D.Insns));
       *D.Attr = encodeCodeAttribute(D.Code, CF.CP);
     }
@@ -451,12 +249,11 @@ private:
 
   ClassFile &CF;
   std::vector<DecodedMethod> Methods;
-  std::set<uint16_t> Reachable;
-  std::set<uint16_t> LdcReferenced;
-  std::vector<std::string> SynthesizedTexts;
-  std::map<uint16_t, uint16_t> OldToNew;
-  std::map<std::string, uint16_t> SynthIndex;
-  std::vector<std::pair<uint16_t, const std::string *>> NewOrder;
+  std::vector<uint8_t> Flags;
+  std::vector<uint16_t> Work;
+  uint16_t FirstOutOfRange = 0;
+  /// Builder handle of each old index (Null where unreachable).
+  std::vector<CanonicalPoolBuilder::Ref> Handles;
 };
 
 } // namespace

@@ -38,9 +38,14 @@ bool isRecognizedAttribute(std::string_view Name);
 void stripDebugInfo(ClassFile &CF, bool DropUnrecognized = true);
 
 /// Garbage-collects and canonically re-orders the constant pool,
-/// renumbering every reference (including inside bytecode). Requires
-/// unrecognized attributes to have been stripped first; fails otherwise
-/// and on malformed bytecode.
+/// renumbering every reference (including inside bytecode). The order
+/// is CanonicalPoolBuilder's (CanonicalPool.h), the one the unpacker
+/// builds restored classes in: the reachable entries are copied into
+/// it, duplicates kept, plus a Utf8 entry for each attribute name the
+/// pool lacks. Requires unrecognized attributes to have been stripped
+/// first; fails otherwise, on malformed bytecode, on a dangling index
+/// (Corrupt), on an ldc constant that cannot stay below index 256
+/// (Corrupt) and on pool overflow (LimitExceeded).
 Error canonicalizeConstantPool(ClassFile &CF);
 
 /// stripDebugInfo + canonicalizeConstantPool.

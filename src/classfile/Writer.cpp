@@ -6,27 +6,72 @@
 
 #include "classfile/Writer.h"
 #include "support/ByteBuffer.h"
+#include <optional>
 
 using namespace cjpack;
 
-static void writeAttributes(ByteWriter &W, ConstantPool &CP,
+namespace {
+
+/// Resolves attribute names to Utf8 indices for one write without
+/// touching the class's pool. A name the pool holds resolves to its
+/// first Utf8 entry, as addUtf8 would find it; a name it lacks (only
+/// hand-built classes) is added to a copy of the pool, made on first
+/// need, and that copy is what gets written.
+class AttributeNames {
+public:
+  explicit AttributeNames(const ConstantPool &CP) : Pool(&CP) {}
+
+  uint16_t index(std::string_view Name) {
+    for (const auto &[Known, Index] : Resolved)
+      if (Known == Name)
+        return Index;
+    uint16_t Index = find(Name);
+    if (Index == 0) {
+      if (!Copy)
+        Pool = &Copy.emplace(*Pool);
+      Index = Copy->addUtf8(Name);
+    }
+    Resolved.emplace_back(Name, Index);
+    return Index;
+  }
+
+  const ConstantPool &pool() const { return *Pool; }
+
+private:
+  uint16_t find(std::string_view Name) const {
+    for (uint16_t I = 1; I < Pool->count(); ++I) {
+      const CpEntry &E = Pool->entry(I);
+      if (E.Tag == CpTag::Utf8 && E.Text == Name)
+        return I;
+    }
+    return 0;
+  }
+
+  const ConstantPool *Pool;
+  std::optional<ConstantPool> Copy;
+  std::vector<std::pair<std::string_view, uint16_t>> Resolved;
+};
+
+} // namespace
+
+static void writeAttributes(ByteWriter &W, AttributeNames &Names,
                             const std::vector<AttributeInfo> &Attrs) {
   W.writeU2(static_cast<uint16_t>(Attrs.size()));
   for (const AttributeInfo &A : Attrs) {
-    W.writeU2(CP.addUtf8(A.Name));
+    W.writeU2(Names.index(A.Name));
     W.writeU4(static_cast<uint32_t>(A.Bytes.size()));
     W.writeBytes(A.Bytes);
   }
 }
 
-static void writeMembers(ByteWriter &W, ConstantPool &CP,
+static void writeMembers(ByteWriter &W, AttributeNames &Names,
                          const std::vector<MemberInfo> &Members) {
   W.writeU2(static_cast<uint16_t>(Members.size()));
   for (const MemberInfo &M : Members) {
     W.writeU2(M.AccessFlags);
     W.writeU2(M.NameIndex);
     W.writeU2(M.DescriptorIndex);
-    writeAttributes(W, CP, M.Attributes);
+    writeAttributes(W, Names, M.Attributes);
   }
 }
 
@@ -77,9 +122,9 @@ static void writeConstantPool(ByteWriter &W, const ConstantPool &CP) {
 }
 
 std::vector<uint8_t> cjpack::writeClassFile(const ClassFile &CF) {
-  // Serialize the body first so attribute-name interning lands in the
-  // pool copy before the pool is emitted.
-  ConstantPool CP = CF.CP;
+  // Serialize the body first: a missing attribute name grows the pool
+  // that is emitted ahead of it.
+  AttributeNames Names(CF.CP);
   ByteWriter Body;
   Body.writeU2(CF.AccessFlags);
   Body.writeU2(CF.ThisClass);
@@ -87,15 +132,15 @@ std::vector<uint8_t> cjpack::writeClassFile(const ClassFile &CF) {
   Body.writeU2(static_cast<uint16_t>(CF.Interfaces.size()));
   for (uint16_t I : CF.Interfaces)
     Body.writeU2(I);
-  writeMembers(Body, CP, CF.Fields);
-  writeMembers(Body, CP, CF.Methods);
-  writeAttributes(Body, CP, CF.Attributes);
+  writeMembers(Body, Names, CF.Fields);
+  writeMembers(Body, Names, CF.Methods);
+  writeAttributes(Body, Names, CF.Attributes);
 
   ByteWriter W;
   W.writeU4(0xCAFEBABEu);
   W.writeU2(CF.MinorVersion);
   W.writeU2(CF.MajorVersion);
-  writeConstantPool(W, CP);
+  writeConstantPool(W, Names.pool());
   W.writeBytes(Body.data());
   return W.take();
 }

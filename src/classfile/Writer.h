@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Serializes a ClassFile model into standard .class bytes. Attribute
-/// name strings are interned into (a copy of) the constant pool before
-/// the pool itself is emitted, so the model never needs to pre-intern
-/// them. parse(write(cf)) is the identity on the model.
+/// names are looked up in the constant pool without modifying it; a
+/// name the pool lacks is interned into a copy of the pool before that
+/// copy is emitted, so the model never needs to pre-intern them.
+/// parse(write(cf)) is the identity on the model.
 ///
 //===----------------------------------------------------------------------===//
 

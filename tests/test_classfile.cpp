@@ -9,6 +9,7 @@
 #include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "corpus/BytecodeBuilder.h"
+#include "support/Sha1.h"
 #include <algorithm>
 #include <gtest/gtest.h>
 
@@ -57,6 +58,105 @@ ClassFile makeSampleClass() {
   B2.op(Op::Pop);
   B2.ret(VType::Void);
   Run.Attributes.push_back(encodeCodeAttribute(B2.finish(), CF.CP));
+  CF.Methods.push_back(std::move(Run));
+  return CF;
+}
+
+/// A class whose reachable pool holds every kind the canonical order
+/// places, each entry added out of that order: int, float and string
+/// under both ldc and ldc_w; long and double; Class; the three member
+/// refs; NameAndType; and, in the last group, a MethodType and two
+/// MethodHandles reached by ldc, the handles added in the reverse of
+/// their referents' order. Plus one unreachable entry.
+ClassFile makeEveryKindClass() {
+  ClassFile CF;
+  CF.MajorVersion = 51;
+  CF.MinorVersion = 0;
+  CF.AccessFlags = AccPublic | AccSuper;
+  CF.CP.addUtf8("unreferenced");
+  uint16_t WideString = CF.CP.addString("wide string");
+  uint16_t WideInt = CF.CP.addInteger(70000);
+  uint16_t WideFloat = CF.CP.addFloat(0x40490FDBu);
+  uint16_t Long = CF.CP.addLong(-5);
+  uint16_t Double = CF.CP.addDouble(0x400921FB54442D18ull);
+  CF.ThisClass = CF.CP.addClass("pkg/EveryKind");
+  CF.SuperClass = CF.CP.addClass("java/lang/Object");
+  uint16_t Iface = CF.CP.addRef(CpTag::InterfaceMethodRef,
+                                "java/lang/Runnable", "run", "()V");
+  uint16_t Field = CF.CP.addRef(CpTag::FieldRef, "pkg/EveryKind", "count",
+                                "I");
+  uint16_t Method = CF.CP.addRef(CpTag::MethodRef, "java/lang/Object",
+                                 "hashCode", "()I");
+  uint16_t Class = CF.CP.addClass("java/util/ArrayList");
+  uint16_t NarrowString = CF.CP.addString("narrow string");
+  uint16_t NarrowInt = CF.CP.addInteger(-42);
+  uint16_t NarrowFloat = CF.CP.addFloat(0x3F800000u);
+  uint16_t RunName = CF.CP.addUtf8("run");
+  uint16_t RunDesc = CF.CP.addUtf8("()V");
+  uint16_t TypeDescriptor = CF.CP.addUtf8("(I)J");
+  CpEntry Type;
+  Type.Tag = CpTag::MethodType;
+  Type.Ref1 = TypeDescriptor;
+  uint16_t MethodType = CF.CP.appendRaw(Type);
+  CpEntry ToMethod;
+  ToMethod.Tag = CpTag::MethodHandle;
+  ToMethod.RefKind = 5; // REF_invokeVirtual
+  ToMethod.Ref1 = Method;
+  uint16_t HandleToMethod = CF.CP.appendRaw(ToMethod);
+  CpEntry ToIface;
+  ToIface.Tag = CpTag::MethodHandle;
+  ToIface.RefKind = 9; // REF_invokeInterface
+  ToIface.Ref1 = Iface;
+  uint16_t HandleToIface = CF.CP.appendRaw(ToIface);
+  CF.CP.rebuildIndex();
+
+  ByteWriter W;
+  auto Op1 = [&](Op O) { W.writeU1(static_cast<uint8_t>(O)); };
+  auto Ldc = [&](uint16_t Index) {
+    Op1(Op::Ldc);
+    W.writeU1(static_cast<uint8_t>(Index));
+    Op1(Op::Pop);
+  };
+  auto WithU2 = [&](Op O, uint16_t Index) {
+    Op1(O);
+    W.writeU2(Index);
+  };
+  Ldc(NarrowString);
+  Ldc(NarrowInt);
+  Ldc(NarrowFloat);
+  for (uint16_t Index : {WideString, WideInt, WideFloat}) {
+    WithU2(Op::LdcW, Index);
+    Op1(Op::Pop);
+  }
+  for (uint16_t Index : {Long, Double}) {
+    WithU2(Op::Ldc2W, Index);
+    Op1(Op::Pop2);
+  }
+  WithU2(Op::New, Class);
+  Op1(Op::Pop);
+  WithU2(Op::GetStatic, Field);
+  Op1(Op::Pop);
+  Op1(Op::ALoad0);
+  WithU2(Op::InvokeVirtual, Method);
+  Op1(Op::Pop);
+  Op1(Op::ALoad0);
+  WithU2(Op::InvokeInterface, Iface);
+  W.writeU1(1);
+  W.writeU1(0);
+  Ldc(MethodType);
+  Ldc(HandleToMethod);
+  Ldc(HandleToIface);
+  Op1(Op::Return);
+
+  CodeAttribute Code;
+  Code.MaxStack = 2;
+  Code.MaxLocals = 1;
+  Code.Code = CF.arena().copy(W.data());
+  MemberInfo Run;
+  Run.AccessFlags = AccPublic;
+  Run.NameIndex = RunName;
+  Run.DescriptorIndex = RunDesc;
+  Run.Attributes.push_back(encodeCodeAttribute(Code, CF.CP));
   CF.Methods.push_back(std::move(Run));
   return CF;
 }
@@ -246,4 +346,69 @@ TEST(CodeAttribute, ParseEncodeRoundTrip) {
   AttributeInfo Re = encodeCodeAttribute(*Code, CF.CP);
   EXPECT_TRUE(std::equal(Re.Bytes.begin(), Re.Bytes.end(), A->Bytes.begin(),
                          A->Bytes.end()));
+}
+
+// The canonical order pinned over every kind it places, including the
+// last group, where MethodHandles compare by their referents' old
+// indices (so, unlike the rest of the pool, that group's order can
+// change if the result is canonicalized again).
+TEST(Transform, CanonicalOrderOfEveryKindIsPinned) {
+  ClassFile CF = makeEveryKindClass();
+  ASSERT_FALSE(static_cast<bool>(canonicalizeConstantPool(CF)));
+  std::vector<uint8_t> Bytes = writeClassFile(CF);
+  EXPECT_EQ(sha1Hex(Bytes), "b7bdb4757eb3916fb391f7032d24b2d74b738a09");
+  // The ldc constants lead, the last group closes the pool.
+  EXPECT_EQ(CF.CP.entry(1).Tag, CpTag::Integer);
+  EXPECT_EQ(CF.CP.entry(CF.CP.count() - 3).Tag, CpTag::MethodHandle);
+  EXPECT_EQ(CF.CP.entry(CF.CP.count() - 1).Tag, CpTag::MethodType);
+  auto Parsed = parseClassFile(Bytes);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.message();
+}
+
+// writeClassFile resolves attribute names without modifying the pool;
+// a name the pool lacks ("Code", "ConstantValue" here) is still appended
+// to the pool it writes, with pinned bytes.
+TEST(Writer, NamesMissingFromThePoolAreAppended) {
+  ClassFile CF = makeSampleClass();
+  uint16_t Count = CF.CP.count();
+  std::vector<uint8_t> Bytes = writeClassFile(CF);
+  EXPECT_EQ(CF.CP.count(), Count);
+  EXPECT_EQ(sha1Hex(Bytes), "e30f0f2a694bf13088e2559c7293c43608373cea");
+  auto Parsed = parseClassFile(Bytes);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.message();
+  EXPECT_EQ(Parsed->CP.count(), Count + 2);
+  EXPECT_NE(findAttribute(Parsed->Methods[0].Attributes, "Code"), nullptr);
+  EXPECT_EQ(writeClassFile(*Parsed), Bytes);
+}
+
+// A reference to an index past the end of the pool is Corrupt, and is
+// found before any entry is read through it (a field ref's sort key
+// reads its class entry).
+TEST(Transform, CanonicalizeRejectsDanglingReference) {
+  ClassFile CF = makeSampleClass();
+  uint16_t NameType = CF.CP.addNameAndType("x", "I");
+  CpEntry Field;
+  Field.Tag = CpTag::FieldRef;
+  Field.Ref1 = 16386;
+  Field.Ref2 = NameType;
+  uint16_t Dangling = CF.CP.appendRaw(Field);
+  CF.CP.rebuildIndex();
+  ByteWriter W;
+  W.writeU1(static_cast<uint8_t>(Op::GetStatic));
+  W.writeU2(Dangling);
+  W.writeU1(static_cast<uint8_t>(Op::Pop));
+  W.writeU1(static_cast<uint8_t>(Op::Return));
+  CodeAttribute Code;
+  Code.MaxStack = 1;
+  Code.MaxLocals = 1;
+  Code.Code = CF.arena().copy(W.data());
+  MemberInfo Read;
+  Read.AccessFlags = AccPublic;
+  Read.NameIndex = CF.CP.addUtf8("read");
+  Read.DescriptorIndex = CF.CP.addUtf8("()V");
+  Read.Attributes.push_back(encodeCodeAttribute(Code, CF.CP));
+  CF.Methods.push_back(std::move(Read));
+  Error E = canonicalizeConstantPool(CF);
+  ASSERT_TRUE(static_cast<bool>(E));
+  EXPECT_EQ(E.code(), ErrorCode::Corrupt) << E.message();
 }

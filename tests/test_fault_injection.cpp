@@ -17,9 +17,10 @@
 //     0xFF-run splices that turn varint lengths and counts into huge
 //     values.
 //
-// Every variant must decode cleanly: either success, or a typed Error
-// from the decode taxonomy (Truncated / Corrupt / LimitExceeded) —
-// never a crash, sanitizer report, unbounded allocation, or hang. The
+// Every variant must decode cleanly: either classes that re-parse,
+// decode and are already canonical, or a typed Error from the decode
+// taxonomy (Truncated / Corrupt / LimitExceeded) — never a crash,
+// sanitizer report, unbounded allocation, or hang. The
 // whole driver is deterministic (fixed seeds, xorshift RNG), so a
 // failure reproduces exactly. It runs under the ASan+UBSan CI matrix.
 //
@@ -28,6 +29,7 @@
 #include "bytecode/Instruction.h"
 #include "classfile/ClassFile.h"
 #include "classfile/Reader.h"
+#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "pack/ArchiveIndex.h"
@@ -108,22 +110,58 @@ std::vector<uint8_t> packedArchive(unsigned Shards, RefScheme Scheme,
   return Packed ? Packed->Archive : std::vector<uint8_t>();
 }
 
+/// What a successful decode must return, however hostile its input:
+/// every class re-parses from its written bytes under the test limits,
+/// every Code attribute decodes, and canonicalizeConstantPool gives the
+/// class back unchanged. The materializer writes each class once and
+/// never reads it back, so this is checked here.
+void expectValidCanonical(const std::vector<ClassFile> &Classes,
+                          const char *What, size_t Detail) {
+  for (size_t I = 0; I < Classes.size(); ++I) {
+    std::vector<uint8_t> Bytes = writeClassFile(Classes[I]);
+    auto CF = parseClassFile(Bytes, testLimits());
+    ASSERT_TRUE(static_cast<bool>(CF))
+        << What << " at " << Detail << ": class " << I
+        << " does not re-parse: " << CF.message();
+    for (const MemberInfo &M : CF->Methods) {
+      const AttributeInfo *A = findAttribute(M.Attributes, "Code");
+      if (!A)
+        continue;
+      auto Code = parseCodeAttribute(*A, CF->CP);
+      ASSERT_TRUE(static_cast<bool>(Code))
+          << What << " at " << Detail << ": class " << I << ": "
+          << Code.message();
+      auto Insns = decodeCode(Code->Code);
+      ASSERT_TRUE(static_cast<bool>(Insns))
+          << What << " at " << Detail << ": class " << I
+          << " has undecodable code: " << Insns.message();
+    }
+    ASSERT_FALSE(static_cast<bool>(canonicalizeConstantPool(*CF)))
+        << What << " at " << Detail << ": class " << I;
+    EXPECT_EQ(writeClassFile(*CF), Bytes)
+        << What << " at " << Detail << ": class " << I
+        << " is not in canonical form";
+  }
+}
+
 /// Decodes one hostile archive variant; the only acceptable outcomes
-/// are success or a typed decode-taxonomy error.
+/// are a typed decode-taxonomy error or valid, canonical classes.
 void expectCleanUnpack(const std::vector<uint8_t> &Bytes,
                        const char *What, size_t Detail) {
   auto Classes = unpackClasses(Bytes, testOptions());
-  if (Classes)
+  if (Classes) {
+    expectValidCanonical(*Classes, What, Detail);
     return;
+  }
   EXPECT_NE(Classes.code(), ErrorCode::Other)
       << What << " at " << Detail
       << ": decode failure escaped the taxonomy: " << Classes.message();
 }
 
 /// Same contract for the lazy reader: open, list, decode every indexed
-/// class. Success or a typed error, never a crash or OOB read. The
-/// parallel decode, on a second fresh reader, must agree exactly with
-/// the serial one: the same classes, or the same error.
+/// class. Valid canonical classes or a typed error, never a crash or
+/// OOB read. The parallel decode, on a second fresh reader, must agree
+/// exactly with the serial one: the same classes, or the same error.
 void expectCleanReader(const std::vector<uint8_t> &Bytes, const char *What,
                        size_t Detail) {
   auto Reader = PackedArchiveReader::open(Bytes, testLimits());
@@ -156,6 +194,7 @@ void expectCleanReader(const std::vector<uint8_t> &Bytes, const char *What,
   for (size_t I = 0; I < All->size(); ++I)
     EXPECT_EQ(writeClassFile((*AllParallel)[I]), writeClassFile((*All)[I]))
         << What << " at " << Detail << ": class " << I;
+  expectValidCanonical(*All, What, Detail);
 }
 
 void expectCleanClassfile(const std::vector<uint8_t> &Bytes,

@@ -4,9 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "classfile/Reader.h"
+#include "classfile/Writer.h"
 #include "pack/ClassOrder.h"
+#include "pack/Materialize.h"
 #include "pack/Model.h"
 #include "pack/Preload.h"
+#include "pack/Transcode.h"
 #include <gtest/gtest.h>
 #include <set>
 
@@ -182,4 +186,119 @@ TEST(Preload, SimpleSchemeMergesPools) {
   EXPECT_FALSE(Enc.Pools.count(poolId(PoolKind::MethodSpecial)))
       << "Simple merges all method pools into MethodVirtual";
   EXPECT_TRUE(Enc.Pools.count(poolId(PoolKind::MethodVirtual)));
+}
+
+namespace {
+
+/// A record of class pkg/A (extends java/lang/Object) with one method
+/// void run() whose code is \p Insns, offsets and operands filled in.
+/// Records like these reach materializeClass only through a hostile
+/// archive; the wire decoder never builds them from a packed class.
+struct HandBuiltClass {
+  Model M;
+  ClassRec Rec;
+
+  explicit HandBuiltClass(std::vector<std::pair<Insn, CodeOperand>> Code) {
+    Rec.MajorVersion = 45;
+    Rec.MinorVersion = 3;
+    Rec.Flags = AccPublic | AccSuper | PackedFlagAux0;
+    Rec.ThisId = *M.internClassByInternalName("pkg/A");
+    Rec.HasSuper = true;
+    Rec.SuperId = *M.internClassByInternalName("java/lang/Object");
+    MMethodRef Run;
+    Run.Owner = Rec.ThisId;
+    Run.Name = M.internMethodName("run");
+    Run.Sig = *M.internSignature("()V");
+    MethodRec Method;
+    Method.Flags = AccPublic | PackedFlagAux0;
+    Method.RefId = M.internMethodRef(Run);
+    CodeRec Body;
+    Body.MaxStack = 2;
+    Body.MaxLocals = 1;
+    uint32_t Offset = 0;
+    for (auto &[I, Operand] : Code) {
+      I.Offset = Offset;
+      I.Length = encodedLength(I, Offset);
+      Offset += I.Length;
+      Body.Insns.push_back(I);
+      Body.Operands.push_back(Operand);
+    }
+    Method.Code = std::move(Body);
+    Rec.Methods.push_back(std::move(Method));
+  }
+
+  Expected<ClassFile> materialize() const { return materializeClass(M, Rec); }
+};
+
+std::pair<Insn, CodeOperand> plain(Op O) {
+  Insn I;
+  I.Opcode = O;
+  return {I, CodeOperand()};
+}
+
+std::pair<Insn, CodeOperand> branch(Op O, int32_t Target) {
+  auto P = plain(O);
+  P.first.BranchTarget = Target;
+  return P;
+}
+
+std::pair<Insn, CodeOperand> ldcInt(int64_t Value) {
+  auto P = plain(Op::Ldc);
+  P.second.Kind = ConstKind::Int;
+  P.second.IntValue = Value;
+  return P;
+}
+
+void expectCorrupt(const HandBuiltClass &C, const char *What) {
+  auto CF = C.materialize();
+  ASSERT_FALSE(static_cast<bool>(CF)) << What << " materialized";
+  EXPECT_EQ(CF.code(), ErrorCode::Corrupt) << What << ": " << CF.message();
+}
+
+} // namespace
+
+// The control: a well-formed record materializes to a class that
+// re-parses and decodes.
+TEST(Materialize, HandBuiltRecordRestores) {
+  HandBuiltClass C({branch(Op::Goto, 3), plain(Op::Return)});
+  auto CF = C.materialize();
+  ASSERT_TRUE(static_cast<bool>(CF)) << CF.message();
+  auto Parsed = parseClassFile(writeClassFile(*CF));
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.message();
+  EXPECT_EQ(Parsed->thisClassName(), "pkg/A");
+}
+
+// Records no packed class produces must be rejected by the
+// materializer itself, as Corrupt, since nothing decodes its output.
+TEST(Materialize, RejectsBranchPastTheCode) {
+  expectCorrupt(HandBuiltClass({branch(Op::Goto, 100), plain(Op::Return)}),
+                "goto 100 in a 4-byte method");
+}
+
+TEST(Materialize, RejectsSwitchTargetPastTheCode) {
+  auto Switch = plain(Op::TableSwitch);
+  Switch.first.SwitchLow = 0;
+  Switch.first.SwitchHigh = 0;
+  Switch.first.SwitchDefault = 20; // the return below
+  Switch.first.SwitchTargets = {5000};
+  expectCorrupt(HandBuiltClass({plain(Op::IConst0), Switch,
+                                plain(Op::Return)}),
+                "tableswitch target 5000");
+}
+
+TEST(Materialize, RejectsWidePrefixOnGoto) {
+  auto Wide = branch(Op::Goto, 4);
+  Wide.first.IsWide = true;
+  expectCorrupt(HandBuiltClass({Wide, plain(Op::Return)}),
+                "wide goto");
+}
+
+TEST(Materialize, RejectsLdcConstantsPastIndex255) {
+  std::vector<std::pair<Insn, CodeOperand>> Code;
+  for (int64_t K = 0; K < 257; ++K) {
+    Code.push_back(ldcInt(100000 + K));
+    Code.push_back(plain(Op::Pop));
+  }
+  Code.push_back(plain(Op::Return));
+  expectCorrupt(HandBuiltClass(std::move(Code)), "257 ldc int constants");
 }

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Instruction.h"
 #include "classfile/Reader.h"
 #include "classfile/Transform.h"
 #include "classfile/Writer.h"
@@ -128,6 +129,57 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PackRoundTrip, SingleClass) {
   expectRoundTrip(PackOptions(), 1200, CodeStyle::Balanced, 2);
+}
+
+// §9 holds on the restored class whenever it held on the packed one:
+// 150 ldc ints and 60 ldc strings take 210 canonical slots, although
+// they would overflow index 255 if each string's Utf8 entry sat beside
+// it.
+TEST(PackRoundTrip, ManyLdcConstantsRestore) {
+  ClassFile CF;
+  CF.AccessFlags = AccPublic | AccSuper;
+  std::vector<uint16_t> Loaded;
+  for (int32_t K = 0; K < 150; ++K)
+    Loaded.push_back(CF.CP.addInteger(100000 + K));
+  std::vector<uint16_t> Strings;
+  for (int K = 0; K < 60; ++K) {
+    CpEntry S;
+    S.Tag = CpTag::String;
+    Strings.push_back(CF.CP.appendRaw(S));
+  }
+  for (int K = 0; K < 60; ++K)
+    CF.CP.entry(Strings[K]).Ref1 = CF.CP.addUtf8("s" + std::to_string(K));
+  Loaded.insert(Loaded.end(), Strings.begin(), Strings.end());
+  CF.CP.rebuildIndex();
+  CF.ThisClass = CF.CP.addClass("pkg/Constants");
+  CF.SuperClass = CF.CP.addClass("java/lang/Object");
+
+  ByteWriter W;
+  for (uint16_t Index : Loaded) {
+    ASSERT_LE(Index, 0xFF);
+    W.writeU1(static_cast<uint8_t>(Op::Ldc));
+    W.writeU1(static_cast<uint8_t>(Index));
+    W.writeU1(static_cast<uint8_t>(Op::Pop));
+  }
+  W.writeU1(static_cast<uint8_t>(Op::Return));
+  CodeAttribute Code;
+  Code.MaxStack = 1;
+  Code.MaxLocals = 0;
+  Code.Code = CF.arena().copy(W.data());
+  MemberInfo Load;
+  Load.AccessFlags = AccPublic | AccStatic;
+  Load.NameIndex = CF.CP.addUtf8("load");
+  Load.DescriptorIndex = CF.CP.addUtf8("()V");
+  Load.Attributes.push_back(encodeCodeAttribute(Code, CF.CP));
+  CF.Methods.push_back(std::move(Load));
+  ASSERT_FALSE(static_cast<bool>(prepareForPacking(CF)));
+
+  auto Packed = packClasses({CF}, PackOptions());
+  ASSERT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+  auto Unpacked = unpackClasses(Packed->Archive);
+  ASSERT_TRUE(static_cast<bool>(Unpacked)) << Unpacked.message();
+  ASSERT_EQ(Unpacked->size(), 1u);
+  EXPECT_EQ(writeClassFile(Unpacked->front()), writeClassFile(CF));
 }
 
 TEST(PackRoundTrip, DecompressionIsDeterministic) {

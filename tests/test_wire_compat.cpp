@@ -17,6 +17,10 @@
 // format version): print sha1Hex(packClassBytes(...)->Archive) for each
 // key below with Threads=2 and update the table.
 //
+// The restored bytes are pinned the same way: the canonical (§12) form
+// of each corpus style must come back, byte for byte, from its raw v1
+// and v3 archives. These rows involve no zlib output and always run.
+//
 // Also checks here because it shares the corpus: the statPackedArchive
 // sum identity (header + index + dictionary + per-stream packed ==
 // archive bytes), its agreement with the encoder's own accounting, and
@@ -26,12 +30,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "classfile/Reader.h"
+#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "pack/ArchiveReader.h"
 #include "pack/Packer.h"
 #include "pack/Stats.h"
 #include "support/Sha1.h"
+#include <algorithm>
 #include <gtest/gtest.h>
 #include <map>
 #include <string>
@@ -121,6 +128,34 @@ const std::map<std::string, std::string> GoldenHashes = {
      "6671f354536aad39321bdbf58e8ddb3b160d4084"},
 };
 
+/// Golden SHA-1 of each corpus's canonical (§12) form: the prepared
+/// classes' writeClassFile bytes, concatenated in name order. Every
+/// restore must reproduce it. No zlib output is involved, so the rows
+/// hold under any zlib.
+const std::map<std::string, std::string> CanonicalFormHashes = {
+    {"balanced", "6cb3525cd04cc1c1d6e8505ef729c07836b08911"},
+    {"numeric", "ff0d6ad4a885b4d8e54d87e93fa192a78ca0df9d"},
+    {"stringheavy", "cd604ba4448322a211f58ca648b92817e3fd499a"},
+};
+
+const char *styleName(CodeStyle Style) {
+  return Style == CodeStyle::Balanced  ? "balanced"
+         : Style == CodeStyle::Numeric ? "numeric"
+                                       : "stringheavy";
+}
+
+/// SHA-1 over \p Classes' bytes, concatenated in name order.
+std::string classSetDigest(std::vector<NamedClass> Classes) {
+  std::sort(Classes.begin(), Classes.end(),
+            [](const NamedClass &A, const NamedClass &B) {
+              return A.Name < B.Name;
+            });
+  std::vector<uint8_t> All;
+  for (const NamedClass &C : Classes)
+    All.insert(All.end(), C.Data.begin(), C.Data.end());
+  return sha1Hex(All);
+}
+
 std::vector<NamedClass> corpusFor(CodeStyle Style) {
   CorpusSpec Spec;
   Spec.Name = "wirecompat";
@@ -183,9 +218,7 @@ class WireCompatStyles
 
 TEST_P(WireCompatStyles, UncompressedArchiveMatchesGolden) {
   auto [Style, Shards] = GetParam();
-  const char *Name = Style == CodeStyle::Balanced    ? "balanced"
-                     : Style == CodeStyle::Numeric   ? "numeric"
-                                                     : "stringheavy";
+  const char *Name = styleName(Style);
   PackOptions Raw;
   Raw.Shards = Shards;
   Raw.CompressStreams = false;
@@ -196,9 +229,7 @@ TEST_P(WireCompatStyles, UncompressedArchiveMatchesGolden) {
 
 TEST_P(WireCompatStyles, CompressedArchiveMatchesGolden) {
   auto [Style, Shards] = GetParam();
-  const char *Name = Style == CodeStyle::Balanced    ? "balanced"
-                     : Style == CodeStyle::Numeric   ? "numeric"
-                                                     : "stringheavy";
+  const char *Name = styleName(Style);
   PackOptions Z;
   Z.Shards = Shards;
   expectGolden(std::string(Name) + "/s" + std::to_string(Shards) + "/z",
@@ -211,6 +242,48 @@ INSTANTIATE_TEST_SUITE_P(
                                          CodeStyle::Numeric,
                                          CodeStyle::StringHeavy),
                        ::testing::Values(1u, 4u)));
+
+// The restored bytes are the archive's contract: the prepared form of
+// each corpus is pinned, and the raw v1 and v3 archives must restore
+// exactly it. (Every round-trip test elsewhere compares a restore with
+// prepareForPacking from the same build, which a change moving both
+// would pass.)
+TEST(WireCompat, RestoresPinnedCanonicalForm) {
+  for (CodeStyle Style :
+       {CodeStyle::Balanced, CodeStyle::Numeric, CodeStyle::StringHeavy}) {
+    const char *Name = styleName(Style);
+    auto Golden = CanonicalFormHashes.find(Name);
+    ASSERT_NE(Golden, CanonicalFormHashes.end()) << Name;
+    std::vector<NamedClass> Classes = corpusFor(Style);
+    std::vector<NamedClass> Prepared;
+    for (const NamedClass &C : Classes) {
+      auto CF = parseClassFile(C.Data);
+      ASSERT_TRUE(static_cast<bool>(CF)) << C.Name << ": " << CF.message();
+      ASSERT_FALSE(static_cast<bool>(prepareForPacking(*CF))) << C.Name;
+      Prepared.push_back({std::string(CF->thisClassName()) + ".class",
+                          writeClassFile(*CF)});
+    }
+    EXPECT_EQ(classSetDigest(Prepared), Golden->second)
+        << Name << ": prepared (canonical) form changed";
+
+    for (bool Indexed : {false, true}) {
+      PackOptions Raw;
+      Raw.Shards = Indexed ? 4 : 1;
+      Raw.CompressStreams = false;
+      Raw.RandomAccessIndex = Indexed;
+      Raw.Threads = 2;
+      auto Packed = packClassBytes(Classes, Raw);
+      ASSERT_TRUE(static_cast<bool>(Packed)) << Name << ": "
+                                             << Packed.message();
+      auto Restored = unpackArchive(Packed->Archive, 2);
+      ASSERT_TRUE(static_cast<bool>(Restored))
+          << Name << ": " << Restored.message();
+      EXPECT_EQ(classSetDigest(*Restored), Golden->second)
+          << Name << (Indexed ? " v3" : " v1")
+          << ": restored bytes changed";
+    }
+  }
+}
 
 TEST(WireCompat, PreloadedArchives) {
   auto Classes = corpusFor(CodeStyle::Balanced);
