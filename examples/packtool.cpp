@@ -66,7 +66,6 @@
 
 #include "analysis/ArchiveAnalysis.h"
 #include "analysis/Verifier.h"
-#include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "pack/ArchiveFormat.h"
 #include "pack/ArchiveReader.h"
@@ -324,9 +323,9 @@ int cmdUnpackClass(const std::string &InPath, const std::string &Name,
   Expected<PackedArchiveReader> Reader = Error::failure("unopened");
   if (!openIndexed(InPath, File, Reader))
     return 1;
-  auto CF = Reader->unpackClass(Name);
-  if (!CF) {
-    fprintf(stderr, "packtool: %s\n", CF.message().c_str());
+  auto Data = Reader->unpackClassBytes(Name);
+  if (!Data) {
+    fprintf(stderr, "packtool: %s\n", Data.message().c_str());
     return 1;
   }
   std::string Out = OutPath;
@@ -336,13 +335,12 @@ int cmdUnpackClass(const std::string &InPath, const std::string &Name,
     Out = (Slash == std::string::npos ? Name : Name.substr(Slash + 1)) +
           ".class";
   }
-  std::vector<uint8_t> Data = writeClassFile(*CF);
-  if (!writeFile(Out, Data)) {
+  if (!writeFile(Out, *Data)) {
     fprintf(stderr, "packtool: cannot write %s\n", Out.c_str());
     return 1;
   }
   printf("%s: %zu bytes (inflated %llu of %zu archive bytes)\n",
-         Out.c_str(), Data.size(),
+         Out.c_str(), Data->size(),
          static_cast<unsigned long long>(Reader->inflatedBytes()),
          File.size());
   return 0;

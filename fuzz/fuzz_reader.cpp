@@ -15,7 +15,9 @@
 // The sweep decodes shards concurrently, so the target also checks that
 // the thread count changes nothing: two fresh readers decoding on one
 // and on four threads must restore the same class bytes, or fail with
-// the same error code and message.
+// the same error code and message. Serving bytes must change nothing
+// either: class by class, a fresh reader's unpackClassBytes must give
+// writeClassFile of a fresh reader's unpackClass, or the same error.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +45,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   // succeeds again.
   auto Serial = cjpack::PackedArchiveReader::open(Data, Size, Limits);
   auto Parallel = cjpack::PackedArchiveReader::open(Data, Size, Limits);
-  if (!Serial || !Parallel)
+  auto Served = cjpack::PackedArchiveReader::open(Data, Size, Limits);
+  auto Restored = cjpack::PackedArchiveReader::open(Data, Size, Limits);
+  if (!Serial || !Parallel || !Served || !Restored)
     abort();
+  for (const std::string &Name : Names) {
+    auto Got = Served->unpackClassBytes(Name);
+    auto CF = Restored->unpackClass(Name);
+    if (static_cast<bool>(Got) != static_cast<bool>(CF))
+      abort();
+    if (!CF) {
+      if (Got.code() != CF.code() || Got.message() != CF.message())
+        abort();
+    } else if (*Got != cjpack::writeClassFile(*CF)) {
+      abort();
+    }
+  }
   auto One = Serial->unpackAll(1);
   auto Four = Parallel->unpackAll(4);
   if (static_cast<bool>(One) != static_cast<bool>(Four))

@@ -45,7 +45,8 @@ cjpack::parseCodeAttribute(const AttributeInfo &Attr,
   for (uint16_t I = 0; I < AttrCount; ++I) {
     uint16_t NameIdx = R.readU2();
     uint32_t Len = R.readU4();
-    if (R.hasError() || !CP.isValidIndex(NameIdx))
+    if (R.hasError() || !CP.isValidIndex(NameIdx) ||
+        CP.entry(NameIdx).Tag != CpTag::Utf8)
       return Error::failure(ErrorCode::Corrupt,
                             "Code attribute: bad nested attribute header");
     AttributeInfo Nested;

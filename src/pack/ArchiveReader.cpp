@@ -5,23 +5,27 @@
 //===----------------------------------------------------------------------===//
 
 #include "pack/ArchiveReader.h"
+#include "classfile/Reader.h"
+#include "classfile/Writer.h"
 #include "pack/Materialize.h"
 #include "pack/Streams.h"
 #include "pack/Transcode.h"
 #include "support/ThreadPool.h"
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 
 using namespace cjpack;
 
 /// One shard's decode state, built lazily from its blob. Heap-allocated
 /// and never moved, so the DecodeContext's references into it stay
-/// valid for the reader's lifetime.
+/// valid until unpackClassBytes drops them all at once.
 struct PackedArchiveReader::ShardState {
-  /// Serializes preparation, decode, and materialization against this
-  /// shard: the adaptive coder state is sequential by construction and
-  /// materialization reads the model another decode could be growing.
+  /// Serializes preparation, decode, materialization and every read of
+  /// the held records and bytes against this shard: the adaptive coder
+  /// state is sequential by construction and materialization reads the
+  /// model another decode could be growing.
   std::mutex Mu;
   /// True once inflateShardLocked ran (successfully or not).
   bool Inflated = false;
@@ -32,13 +36,25 @@ struct PackedArchiveReader::ShardState {
   std::unique_ptr<RefDecoder> Dec;
   std::unique_ptr<DecodeContext> Ctx;
   std::unique_ptr<Transcriber<DecodeContext>> T;
-  /// Decoded record prefix; Recs[i] is the class at ordinal i.
+  /// Decoded record prefix; Recs[i] is the class at ordinal i until
+  /// Bytes[i] holds it, which releases the record.
   std::vector<ClassRec> Recs;
+  /// Bytes[i] is the restored classfile of ordinal i once
+  /// unpackClassBytes served it; empty (no classfile is) until then.
+  std::vector<std::vector<uint8_t>> Bytes;
+  /// Ordinals held as bytes. At Declared, nothing is left to decode.
+  size_t NumBytes = 0;
   /// Class count the shard's own directory declares.
   size_t Declared = 0;
   /// Latched first failure. The adaptive coder state is unrecoverable
   /// mid-stream, so every later request sees the same error.
   Error Fail;
+
+  /// The kept bytes of \p Ordinal, or null while it is a record.
+  const std::vector<uint8_t> *kept(uint32_t Ordinal) const {
+    return Ordinal < Bytes.size() && !Bytes[Ordinal].empty() ? &Bytes[Ordinal]
+                                                             : nullptr;
+  }
 };
 
 PackedArchiveReader::PackedArchiveReader() = default;
@@ -129,8 +145,7 @@ Error PackedArchiveReader::decodeUpTo(ShardState &St, uint32_t Ordinal) {
   return Error::success();
 }
 
-Expected<ClassFile>
-PackedArchiveReader::materializeLocked(ShardState &St,
+Error PackedArchiveReader::readyLocked(ShardState &St,
                                        const ArchiveIndex::ClassEntry &E) {
   if (auto Err = prepareShardLocked(St, E.Shard))
     return Err;
@@ -138,6 +153,13 @@ PackedArchiveReader::materializeLocked(ShardState &St,
     return makeError(ErrorCode::Corrupt,
                      "reader: index claims more classes than the shard "
                      "directory declares");
+  return Error::success();
+}
+
+Expected<ClassFile>
+PackedArchiveReader::materializeLocked(ShardState &St,
+                                       const ArchiveIndex::ClassEntry &E) {
+  assert(St.T && "a shard that released its decode state holds no records");
   if (auto Err = decodeUpTo(St, E.Ordinal))
     return Err;
   const ClassRec &Rec = St.Recs[E.Ordinal];
@@ -146,6 +168,16 @@ PackedArchiveReader::materializeLocked(ShardState &St,
                      "reader: index entry '" + E.Name +
                          "' names a different class");
   return materializeClass(St.M, Rec);
+}
+
+Expected<ClassFile>
+PackedArchiveReader::classLocked(ShardState &St,
+                                 const ArchiveIndex::ClassEntry &E) {
+  if (auto Err = readyLocked(St, E))
+    return Err;
+  if (const std::vector<uint8_t> *Kept = St.kept(E.Ordinal))
+    return parseClassFile(*Kept, Limits);
+  return materializeLocked(St, E);
 }
 
 Expected<ClassFile>
@@ -159,7 +191,43 @@ PackedArchiveReader::unpackClass(const std::string &InternalName) {
   // decodeUpTo on this shard grows St.M and St.Recs, which
   // materializeClass reads.
   std::lock_guard<std::mutex> Lock(St.Mu);
-  return materializeLocked(St, *E);
+  return classLocked(St, *E);
+}
+
+Expected<std::vector<uint8_t>>
+PackedArchiveReader::unpackClassBytes(const std::string &InternalName) {
+  const ArchiveIndex::ClassEntry *E = Frames.Index.find(InternalName);
+  if (!E)
+    return Error::failure("reader: class '" + InternalName +
+                          "' not in archive index");
+  ShardState &St = *shardSlot(E->Shard);
+  std::lock_guard<std::mutex> Lock(St.Mu);
+  if (auto Err = readyLocked(St, *E))
+    return Err;
+  if (const std::vector<uint8_t> *Kept = St.kept(E->Ordinal))
+    return *Kept;
+  auto CF = materializeLocked(St, *E);
+  if (!CF)
+    return CF.takeError();
+  // Index names and (shard, ordinal) slots are unique, so the name
+  // check materializeLocked just ran covers every later fetch of
+  // these bytes.
+  std::vector<uint8_t> Out = writeClassFile(*CF);
+  if (St.Bytes.size() <= E->Ordinal)
+    St.Bytes.resize(E->Ordinal + 1);
+  St.Bytes[E->Ordinal] = Out;
+  St.Recs[E->Ordinal] = ClassRec();
+  if (++St.NumBytes == St.Declared) {
+    // Every class the shard declares is held as bytes: nothing is left
+    // to decode, so drop the decode state, dependents first.
+    St.T.reset();
+    St.Ctx.reset();
+    St.Dec.reset();
+    St.M = Model();
+    St.S = StreamSet();
+    St.Recs = std::vector<ClassRec>();
+  }
+  return Out;
 }
 
 Expected<std::vector<ClassFile>>
@@ -204,7 +272,7 @@ PackedArchiveReader::unpackAll(unsigned Threads) {
   auto DecodeShard = [this, &Entries, &Out](ShardWork &W) {
     std::lock_guard<std::mutex> Lock(W.St->Mu);
     for (size_t I : W.Entries) {
-      auto CF = materializeLocked(*W.St, Entries[I]);
+      auto CF = classLocked(*W.St, Entries[I]);
       if (!CF) {
         W.FailAt = I;
         W.Fail = CF.takeError();

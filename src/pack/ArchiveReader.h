@@ -33,15 +33,25 @@
 /// poisoned — the adaptive state is unrecoverable mid-stream — and
 /// every later request against it returns the original error.
 ///
+/// A shard holds each decoded class as its wire record until
+/// unpackClassBytes() serves it; from then on it holds the class's
+/// restored classfile bytes instead, and a repeat fetch copies them.
+/// Once every class the shard directory declares holds bytes, the shard
+/// also drops its inflated streams, coder, transcriber and Model. Only
+/// unpackClassBytes() converts, one requested class at a time;
+/// unpackClass() and unpackAll() parse a served class from its bytes.
+/// A poisoned shard's error wins over bytes it already served.
+///
 /// The reader does not own the archive bytes; they must stay valid and
 /// unchanged for the reader's lifetime.
 ///
-/// Thread safety: unpackClass() and unpackAll() may be called
-/// concurrently from any number of threads over one shared reader (the
-/// cjpackd archive cache shares hot readers across request threads).
-/// Shard decode state is created under a reader-level mutex and each
-/// shard's lazy decode is serialized by a per-shard mutex — the
-/// adaptive coder state is inherently sequential — so requests against
+/// Thread safety: unpackClass(), unpackClassBytes() and unpackAll()
+/// may be called concurrently from any number of threads over one
+/// shared reader (the cjpackd archive cache shares hot readers across
+/// request threads). Shard decode state is created under a reader-level
+/// mutex and each shard's lazy decode, and every read of its held
+/// records or bytes, is serialized by a per-shard mutex — the adaptive
+/// coder state is inherently sequential — so requests against
 /// different shards proceed in parallel while requests against the
 /// same shard queue behind its decode. The budget counter is atomic.
 /// Moving or destroying the reader itself concurrently with requests
@@ -95,8 +105,21 @@ public:
   /// Decodes the single class \p InternalName ("com/foo/Bar"),
   /// inflating and decoding only what the lazy-read invariants above
   /// require. Unknown names fail with a plain error; a corrupt or
-  /// truncated blob fails with the usual typed taxonomy.
+  /// truncated blob fails with the usual typed taxonomy. A class
+  /// unpackClassBytes() already served is parsed from its kept bytes,
+  /// under the reader's limits.
   Expected<ClassFile> unpackClass(const std::string &InternalName);
+
+  /// The restored classfile bytes of \p InternalName: what
+  /// writeClassFile() of unpackClass() gives, without building a
+  /// ClassFile once the class has been served. The first call for a
+  /// class decodes and materializes it as unpackClass() does, checks it
+  /// against its index entry, and keeps the bytes in place of the
+  /// class's record; later calls copy the kept bytes. A poisoned
+  /// shard's latched error wins over kept bytes: every call against it
+  /// returns that error, for every class, as unpackClass() does.
+  Expected<std::vector<uint8_t>>
+  unpackClassBytes(const std::string &InternalName);
 
   /// Decodes every indexed class, in archive order, on \p Threads
   /// workers (0 = one per hardware thread), with the result of
@@ -109,6 +132,8 @@ public:
   /// and Threads - 1 pool workers; one shard or one thread runs inline
   /// and creates no pool. This is how unpackClasses decodes version 3:
   /// materialized classes own their bytes, so they outlive the reader.
+  /// A class unpackClassBytes() already served is parsed from its kept
+  /// bytes; nothing is converted to bytes here.
   Expected<std::vector<ClassFile>> unpackAll(unsigned Threads = 0);
 
   /// Total inflate output charged so far (dictionary + every shard
@@ -145,10 +170,23 @@ private:
   /// Caller holds St's mutex.
   Error decodeUpTo(ShardState &St, uint32_t Ordinal);
 
-  /// Materializes index entry \p E from its shard \p St, preparing and
-  /// decoding the shard as far as \p E needs. Caller holds St's mutex.
+  /// Prepares \p E's shard \p St and checks \p E's ordinal against the
+  /// shard directory. Returns the shard's latched failure first, so a
+  /// poisoned shard fails even for classes it holds as bytes. Caller
+  /// holds St's mutex.
+  Error readyLocked(ShardState &St, const ArchiveIndex::ClassEntry &E);
+
+  /// Decodes the shard \p St as far as \p E needs and materializes
+  /// \p E from its record, checking that it names the class the index
+  /// entry does. \p E must be ready and not held as bytes. Caller holds
+  /// St's mutex.
   Expected<ClassFile> materializeLocked(ShardState &St,
                                         const ArchiveIndex::ClassEntry &E);
+
+  /// unpackClass for \p E: parses \p E's kept bytes, or materializes
+  /// its record. Caller holds St's mutex.
+  Expected<ClassFile> classLocked(ShardState &St,
+                                  const ArchiveIndex::ClassEntry &E);
 
   std::span<const uint8_t> Archive;
   ArchiveHeader Header;

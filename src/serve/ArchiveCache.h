@@ -10,7 +10,8 @@
 /// a PackedArchiveReader over it, so a cache hit skips the whole cold
 /// path — open, mmap, header/index/dictionary parse, and (after the
 /// first fetch from a shard) the shard's inflate-and-decode — and a hot
-/// `unpack-class` costs only record materialization.
+/// `unpack-class` copies the class bytes the reader kept when it first
+/// served the class (PackedArchiveReader::unpackClassBytes).
 ///
 /// Entries are keyed by path and validated by (mtime, size): a lookup
 /// stats the file first and a changed identity evicts the stale entry
@@ -26,10 +27,14 @@
 /// shared entry are safe because PackedArchiveReader serializes per
 /// shard internally.
 ///
-/// The size bound counts archive file bytes. Decoded shard state grows
-/// an entry beyond that over time (roughly by the inflated bytes the
-/// budget reports), so the capacity is a working-set target, not a hard
-/// RSS cap.
+/// The size bound counts archive file bytes only (ServerConfig's
+/// default capacity is 256 MB of them). Decoded state grows an entry
+/// beyond that. A shard that is only partly served still holds its
+/// inflated streams, model and a decoded record per class: roughly
+/// 110× its archive bytes once fully decoded. A fully served archive
+/// holds about its restored class bytes instead, roughly 4× the
+/// archive. So the capacity is a working-set target, not a hard RSS
+/// cap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,8 +53,8 @@
 namespace cjpack::serve {
 
 /// One open archive: the mapped bytes and the lazy reader over them.
-/// The reader's decoded-shard and budget state accumulates across
-/// requests — that accumulation is exactly what a hit reuses.
+/// The reader's decoded-shard, served-bytes and budget state accumulates
+/// across requests — that accumulation is exactly what a hit reuses.
 struct CachedArchive {
   CachedArchive(InputFile F, PackedArchiveReader R)
       : File(std::move(F)), Reader(std::move(R)) {}

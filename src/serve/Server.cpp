@@ -7,7 +7,6 @@
 #include "serve/Server.h"
 #include "analysis/ArchiveAnalysis.h"
 #include "analysis/Verifier.h"
-#include "classfile/Writer.h"
 #include "pack/Packer.h"
 #include "pack/Stats.h"
 #include "zip/ZipFile.h"
@@ -189,10 +188,10 @@ Response Server::handle(const Request &Req) {
     auto Arch = Cache->get(Req.Args[0]);
     if (!Arch)
       return Response::fail(Arch.takeError());
-    auto CF = (*Arch)->Reader.unpackClass(Req.Args[1]);
-    if (!CF)
-      return Response::fail(CF.takeError());
-    return Response::okBytes(writeClassFile(*CF));
+    auto Bytes = (*Arch)->Reader.unpackClassBytes(Req.Args[1]);
+    if (!Bytes)
+      return Response::fail(Bytes.takeError());
+    return Response::okBytes(std::move(*Bytes));
   }
 
   case Opcode::Stat: {

@@ -348,6 +348,34 @@ TEST(CodeAttribute, ParseEncodeRoundTrip) {
                          A->Bytes.end()));
 }
 
+// A nested attribute's name must index a Utf8 entry; any other kind is
+// Corrupt, not a nameless attribute.
+TEST(CodeAttribute, RejectsNonUtf8NestedAttributeName) {
+  ClassFile CF = makeSampleClass();
+  auto Nested = [&CF](uint16_t NameIdx) {
+    ByteWriter W;
+    W.writeU2(1); // max_stack
+    W.writeU2(1); // max_locals
+    W.writeU4(1); // code_length
+    W.writeU1(static_cast<uint8_t>(Op::Return));
+    W.writeU2(0); // exception_table_length
+    W.writeU2(1); // attributes_count
+    W.writeU2(NameIdx);
+    W.writeU4(0);
+    AttributeInfo A;
+    A.Name = "Code";
+    A.Bytes = CF.arena().adopt(W.take());
+    return parseCodeAttribute(A, CF.CP);
+  };
+  auto Named = Nested(CF.CP.addUtf8("MysteryAttr"));
+  ASSERT_TRUE(static_cast<bool>(Named)) << Named.message();
+  ASSERT_EQ(Named->Attributes.size(), 1u);
+  EXPECT_EQ(Named->Attributes[0].Name, "MysteryAttr");
+  auto Unnamed = Nested(CF.ThisClass);
+  ASSERT_FALSE(static_cast<bool>(Unnamed));
+  EXPECT_EQ(Unnamed.code(), ErrorCode::Corrupt) << Unnamed.message();
+}
+
 // The canonical order pinned over every kind it places, including the
 // last group, where MethodHandles compare by their referents' old
 // indices (so, unlike the rest of the pool, that group's order can

@@ -184,16 +184,46 @@ void expectCleanReader(const std::vector<uint8_t> &Bytes, const char *What,
   auto AllParallel = Parallel->unpackAll(4);
   ASSERT_EQ(static_cast<bool>(AllParallel), static_cast<bool>(All))
       << What << " at " << Detail << ": thread count changed the outcome";
+
+  // Serving bytes changes no outcome: class by class, a fresh reader's
+  // unpackClassBytes gives writeClassFile of unpackClass, or the same
+  // error. When unpackAll succeeded its classes are unpackClass's (its
+  // contract); otherwise a fresh reader walks unpackClass alongside.
+  auto Served = PackedArchiveReader::open(Bytes, testLimits());
+  ASSERT_TRUE(static_cast<bool>(Served)) << What << " at " << Detail;
+  std::vector<std::string> Names = Served->classNames();
   if (!All) {
     EXPECT_EQ(AllParallel.code(), All.code()) << What << " at " << Detail;
     EXPECT_EQ(AllParallel.message(), All.message())
         << What << " at " << Detail;
+    auto Restored = PackedArchiveReader::open(Bytes, testLimits());
+    ASSERT_TRUE(static_cast<bool>(Restored)) << What << " at " << Detail;
+    for (const std::string &Name : Names) {
+      auto Got = Served->unpackClassBytes(Name);
+      auto CF = Restored->unpackClass(Name);
+      ASSERT_EQ(static_cast<bool>(Got), static_cast<bool>(CF))
+          << What << " at " << Detail << ": " << Name;
+      if (!CF) {
+        EXPECT_EQ(Got.code(), CF.code()) << What << " at " << Detail;
+        EXPECT_EQ(Got.message(), CF.message()) << What << " at " << Detail;
+      } else {
+        EXPECT_EQ(*Got, writeClassFile(*CF))
+            << What << " at " << Detail << ": " << Name;
+      }
+    }
     return;
   }
   ASSERT_EQ(AllParallel->size(), All->size()) << What << " at " << Detail;
-  for (size_t I = 0; I < All->size(); ++I)
-    EXPECT_EQ(writeClassFile((*AllParallel)[I]), writeClassFile((*All)[I]))
+  ASSERT_EQ(Names.size(), All->size()) << What << " at " << Detail;
+  for (size_t I = 0; I < All->size(); ++I) {
+    std::vector<uint8_t> Want = writeClassFile((*All)[I]);
+    EXPECT_EQ(writeClassFile((*AllParallel)[I]), Want)
         << What << " at " << Detail << ": class " << I;
+    auto Got = Served->unpackClassBytes(Names[I]);
+    ASSERT_TRUE(static_cast<bool>(Got))
+        << What << " at " << Detail << ": " << Got.message();
+    EXPECT_EQ(*Got, Want) << What << " at " << Detail << ": class " << I;
+  }
   expectValidCanonical(*All, What, Detail);
 }
 
