@@ -3,8 +3,9 @@
 // Part of cjpack. MIT license.
 //
 // Microbenchmarks of the hot substrates: the indexed-skiplist MTF queue
-// (the paper's O(log k) move-to-front, §5), the §6 integer codecs, the
-// arithmetic coder, and end-to-end pack/unpack on a small corpus.
+// from both sides (the paper's O(log k) move-to-front, §5), the §6
+// integer codecs, the arithmetic coder, and end-to-end pack/unpack on a
+// small corpus.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +46,19 @@ static void BM_MtfQueueUseUniform(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_MtfQueueUseUniform)->Arg(1024)->Arg(16384);
+
+static void BM_MtfQueueUseAt(benchmark::State &State) {
+  // The decoder side: move-to-front by position, with positions drawn
+  // Zipf like the indices an encoder writes for skewed references.
+  size_t N = static_cast<size_t>(State.range(0));
+  MtfQueue Q;
+  for (uint32_t V = 0; V < N; ++V)
+    Q.pushFront(V);
+  Rng R(5);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Q.useAt(R.zipf(N)));
+}
+BENCHMARK(BM_MtfQueueUseAt)->Arg(64)->Arg(1024)->Arg(16384);
 
 static void BM_VarIntRoundTrip(benchmark::State &State) {
   Rng R(3);

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
+#include "corpus/Rng.h"
 #include "pack/Backend.h"
 #include "pack/Packer.h"
 #include "serve/Protocol.h"
@@ -159,6 +160,22 @@ int main(int Argc, char **Argv) {
                       static_cast<std::ptrdiff_t>(Take));
       writeSeed(Out / "fuzz_coder",
                 "scheme" + std::to_string(Scheme) + ".bin", Seed);
+    }
+    // Round-trip streams for the four MTF schemes: the selector byte
+    // (+8 preloads both sides) and two bytes per reference, (pool |
+    // sub << 3, object), skewed like real method references.
+    for (uint8_t Scheme = 4; Scheme < 8; ++Scheme) {
+      Rng R(Scheme);
+      std::vector<uint8_t> Seed{
+          static_cast<uint8_t>(Scheme + (Scheme % 2 ? 8 : 0))};
+      for (int I = 0; I < 400; ++I) {
+        uint64_t Pool = R.below(4);
+        uint64_t Sub = R.zipf(6);
+        Seed.push_back(static_cast<uint8_t>(Pool | Sub << 3));
+        Seed.push_back(static_cast<uint8_t>(R.zipf(200)));
+      }
+      writeSeed(Out / "fuzz_coder",
+                "roundtrip" + std::to_string(Scheme) + ".bin", Seed);
     }
   }
 

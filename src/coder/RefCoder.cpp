@@ -9,8 +9,8 @@
 #include "support/VarInt.h"
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <set>
-#include <vector>
 
 using namespace cjpack;
 
@@ -38,10 +38,18 @@ bool cjpack::refSchemeSupportsPreload(RefScheme S) {
   return S != RefScheme::Freq && S != RefScheme::Cache;
 }
 
+uint32_t &RefStats::slot(uint32_t Pool, uint32_t Object) {
+  if (Pool >= Counts.size())
+    Counts.resize(static_cast<size_t>(Pool) + 1);
+  std::vector<uint32_t> &PoolCounts = Counts[Pool];
+  if (Object >= PoolCounts.size())
+    PoolCounts.resize(static_cast<size_t>(Object) + 1, 0);
+  return PoolCounts[Object];
+}
+
 uint32_t RefStats::rankOf(uint32_t Pool, uint32_t Object) const {
   buildRanks();
-  auto It = Ranks.find({Pool, Object});
-  return It == Ranks.end() ? 0 : It->second;
+  return lookup(Ranks, Pool, Object);
 }
 
 void RefStats::buildRanks() const {
@@ -50,21 +58,37 @@ void RefStats::buildRanks() const {
   RanksBuilt = true;
   // Per pool, sort recurring objects by descending count (ties by id for
   // determinism) and assign ranks starting at 1.
-  std::map<uint32_t, std::vector<std::pair<uint32_t, uint32_t>>> PerPool;
-  for (const auto &[Key, Count] : Counts)
-    if (Count > 1)
-      PerPool[Key.first].push_back({Count, Key.second});
-  for (auto &[Pool, Items] : PerPool) {
+  Ranks.assign(Counts.size(), {});
+  std::vector<std::pair<uint32_t, uint32_t>> Items;
+  for (uint32_t Pool = 0; Pool < Counts.size(); ++Pool) {
+    const std::vector<uint32_t> &PoolCounts = Counts[Pool];
+    Items.clear();
+    for (uint32_t Object = 0; Object < PoolCounts.size(); ++Object)
+      if (PoolCounts[Object] > 1)
+        Items.push_back({PoolCounts[Object], Object});
     std::sort(Items.begin(), Items.end(),
               [](const auto &A, const auto &B) {
                 if (A.first != B.first)
                   return A.first > B.first;
                 return A.second < B.second;
               });
+    Ranks[Pool].assign(PoolCounts.size(), 0);
     uint32_t Rank = 1;
     for (const auto &[Count, Object] : Items)
-      Ranks[{Pool, Object}] = Rank++;
+      Ranks[Pool][Object] = Rank++;
   }
+}
+
+bool PoolSeenSet::insert(uint32_t Pool, uint32_t Object) {
+  if (Pool >= Seen.size())
+    Seen.resize(static_cast<size_t>(Pool) + 1);
+  std::vector<bool> &Bits = Seen[Pool];
+  if (Object >= Bits.size())
+    Bits.resize(static_cast<size_t>(Object) + 1);
+  if (Bits[Object])
+    return false;
+  Bits[Object] = true;
+  return true;
 }
 
 namespace {
@@ -320,41 +344,60 @@ private:
 /// Shared machinery for the four MTF variants. Context variants keep one
 /// queue per (Pool, Sub) and a per-pool first-seen history so a queue
 /// materializing late can be seeded with every object it "might see".
-/// Non-context variants collapse Sub to zero.
+/// Non-context variants collapse Sub to zero. Pools are dense ids; a
+/// pool's queues sit in a short list keyed by Sub (a method pool has a
+/// handful of stack-type contexts, every other pool one).
 class MtfState {
 public:
-  MtfState(bool UseContext) : UseContext(UseContext) {}
+  explicit MtfState(bool UseContext) : UseContext(UseContext) {}
 
-  struct PoolState {
-    std::map<uint32_t, MtfQueue> Queues;
-    std::vector<uint32_t> History; ///< persistent objects, oldest first
-    std::set<uint32_t> Seen;
-  };
-
-  PoolState &pool(uint32_t Pool) { return Pools[Pool]; }
-
+  /// The queue at (\p Pool, \p Sub), made and seeded from the pool's
+  /// history on first use. Queues live on the heap and never move, so
+  /// the reference survives later calls, including ones that add pools
+  /// or queues.
   MtfQueue &queue(uint32_t Pool, uint32_t Sub) {
     if (!UseContext)
       Sub = 0;
-    PoolState &P = Pools[Pool];
-    auto [It, Created] = P.Queues.try_emplace(Sub);
-    if (Created)
-      for (uint32_t Object : P.History)
-        It->second.pushFront(Object);
-    return It->second;
+    PoolState &P = pool(Pool);
+    for (auto &[QSub, Q] : P.Queues)
+      if (QSub == Sub)
+        return *Q;
+    MtfQueue &Q =
+        *P.Queues.emplace_back(Sub, std::make_unique<MtfQueue>()).second;
+    for (uint32_t Object : P.History)
+      Q.pushFront(Object);
+    return Q;
+  }
+
+  /// Marks \p Object seen in \p Pool; true on its first occurrence.
+  bool firstSight(uint32_t Pool, uint32_t Object) {
+    return Seen.insert(Pool, Object);
   }
 
   /// Records a first occurrence of a persistent object: remembers it in
   /// the history and pushes it onto every materialized queue.
   void addPersistent(uint32_t Pool, uint32_t Object) {
-    PoolState &P = Pools[Pool];
+    PoolState &P = pool(Pool);
     P.History.push_back(Object);
     for (auto &[Sub, Q] : P.Queues)
-      Q.pushFront(Object);
+      Q->pushFront(Object);
   }
 
 private:
-  std::map<uint32_t, PoolState> Pools;
+  struct PoolState {
+    /// (Sub, queue), in creation order.
+    std::vector<std::pair<uint32_t, std::unique_ptr<MtfQueue>>> Queues;
+    std::vector<uint32_t> History; ///< persistent objects, oldest first
+  };
+
+  PoolState &pool(uint32_t Pool) {
+    if (Pool >= Pools.size())
+      Pools.resize(static_cast<size_t>(Pool) + 1);
+    return Pools[Pool];
+  }
+
+  std::vector<PoolState> Pools;
+  PoolSeenSet Seen;
   bool UseContext;
 };
 
@@ -369,10 +412,8 @@ public:
               ByteWriter &W) override {
     // Touch the queue first so creation/seeding order matches decode.
     MtfQueue &Q = State.queue(Pool, Sub);
-    auto &P = State.pool(Pool);
     unsigned Base = Transients ? 2 : 1;
-    if (!P.Seen.count(Object)) {
-      P.Seen.insert(Object);
+    if (State.firstSight(Pool, Object)) {
       if (Transients && Stats->isTransient(Pool, Object)) {
         writeVarUInt(W, 1);
       } else {
@@ -388,8 +429,7 @@ public:
   }
 
   bool preload(uint32_t Pool, uint32_t Object) override {
-    auto &P = State.pool(Pool);
-    if (P.Seen.insert(Object).second)
+    if (State.firstSight(Pool, Object))
       State.addPersistent(Pool, Object);
     return true;
   }
@@ -411,11 +451,11 @@ public:
     uint32_t V = static_cast<uint32_t>(readVarUInt(R));
     unsigned Base = Transients ? 2 : 1;
     if (V == 0) {
-      Pending[Pool] = false;
+      pending(Pool) = PendingPersistent;
       return std::nullopt;
     }
     if (Transients && V == 1) {
-      Pending[Pool] = true;
+      pending(Pool) = PendingTransient;
       return std::nullopt;
     }
     return Q.useAt(V - Base);
@@ -423,25 +463,32 @@ public:
 
   void registerNew(uint32_t Pool, uint32_t, uint32_t Object) override {
     // Per-pool pending state: definitions nest across pools.
-    auto It = Pending.find(Pool);
-    assert(It != Pending.end() && "registerNew without a pending decode");
-    bool WasTransient = It->second;
-    Pending.erase(It);
+    uint8_t &Slot = pending(Pool);
+    assert(Slot != NonePending && "registerNew without a pending decode");
+    bool WasTransient = Slot == PendingTransient;
+    Slot = NonePending;
     if (!WasTransient)
       State.addPersistent(Pool, Object);
   }
 
   bool preload(uint32_t Pool, uint32_t Object) override {
-    auto &P = State.pool(Pool);
-    if (P.Seen.insert(Object).second)
+    if (State.firstSight(Pool, Object))
       State.addPersistent(Pool, Object);
     return true;
   }
 
 private:
+  enum : uint8_t { NonePending, PendingPersistent, PendingTransient };
+
+  uint8_t &pending(uint32_t Pool) {
+    if (Pool >= Pending.size())
+      Pending.resize(static_cast<size_t>(Pool) + 1, NonePending);
+    return Pending[Pool];
+  }
+
   MtfState State;
   bool Transients;
-  std::map<uint32_t, bool> Pending; ///< pool -> pending was-transient
+  std::vector<uint8_t> Pending; ///< pool -> what its open definition is
 };
 
 } // namespace

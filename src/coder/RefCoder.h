@@ -29,9 +29,9 @@
 #include "support/ByteBuffer.h"
 #include "support/PackTrace.h"
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 namespace cjpack {
 
@@ -61,24 +61,30 @@ bool refSchemeSupportsPreload(RefScheme S);
 /// Per-pool occurrence counts from a pre-pass over the reference stream;
 /// required by Freq, Cache, and the transient variants (an object is a
 /// transient iff it occurs exactly once in its pool).
+///
+/// Precondition: pools and objects are dense ids (PoolKind values and
+/// model object ids). Each pool's table grows to its largest object.
 class RefStats {
 public:
-  void note(uint32_t Pool, uint32_t Object) { ++Counts[{Pool, Object}]; }
+  void note(uint32_t Pool, uint32_t Object) { ++slot(Pool, Object); }
 
   /// Adds \p N occurrences at once (rebuilding stats under an object-id
   /// remap).
   void add(uint32_t Pool, uint32_t Object, uint32_t N) {
-    Counts[{Pool, Object}] += N;
+    slot(Pool, Object) += N;
   }
 
-  /// The raw (pool, object) -> count table, for id remapping.
-  const std::map<std::pair<uint32_t, uint32_t>, uint32_t> &counts() const {
-    return Counts;
+  /// Calls \p F(Pool, Object, Count) for every object noted at least
+  /// once, in (pool, object) order — for id remapping.
+  template <typename Fn> void forEachCount(Fn &&F) const {
+    for (uint32_t Pool = 0; Pool < Counts.size(); ++Pool)
+      for (uint32_t Object = 0; Object < Counts[Pool].size(); ++Object)
+        if (uint32_t Count = Counts[Pool][Object])
+          F(Pool, Object, Count);
   }
 
   uint32_t countOf(uint32_t Pool, uint32_t Object) const {
-    auto It = Counts.find({Pool, Object});
-    return It == Counts.end() ? 0 : It->second;
+    return lookup(Counts, Pool, Object);
   }
 
   bool isTransient(uint32_t Pool, uint32_t Object) const {
@@ -90,11 +96,29 @@ public:
   uint32_t rankOf(uint32_t Pool, uint32_t Object) const;
 
 private:
+  using Table = std::vector<std::vector<uint32_t>>; ///< [pool][object]
+
+  static uint32_t lookup(const Table &T, uint32_t Pool, uint32_t Object) {
+    return Pool < T.size() && Object < T[Pool].size() ? T[Pool][Object]
+                                                      : 0;
+  }
+  uint32_t &slot(uint32_t Pool, uint32_t Object);
   void buildRanks() const;
 
-  std::map<std::pair<uint32_t, uint32_t>, uint32_t> Counts;
-  mutable std::map<std::pair<uint32_t, uint32_t>, uint32_t> Ranks;
+  Table Counts;
+  mutable Table Ranks;
   mutable bool RanksBuilt = false;
+};
+
+/// Which objects each pool has seen: one bit per (pool, object), under
+/// RefStats' dense-id precondition.
+class PoolSeenSet {
+public:
+  /// Marks \p Object seen in \p Pool; returns true if it was not yet.
+  bool insert(uint32_t Pool, uint32_t Object);
+
+private:
+  std::vector<std::vector<bool>> Seen; ///< [pool][object]
 };
 
 /// Encoder half of a scheme.
@@ -146,6 +170,9 @@ public:
   /// Decodes a reference at site (\p Pool, \p Sub). Returns the object
   /// id, or nullopt for a first occurrence — the caller must then decode
   /// the definition, assign the object an id, and call registerNew.
+  /// Corrupt input can yield an id that was never registered (an MTF
+  /// position past its queue decodes as MtfQueue::NoValue), so callers
+  /// must range-check the result against their object table.
   virtual std::optional<uint32_t> decode(uint32_t Pool, uint32_t Sub,
                                          ByteReader &R) = 0;
 

@@ -10,31 +10,23 @@
 using namespace cjpack;
 
 IndexedSkipList::IndexedSkipList() : RngState(0x9E3779B97F4A7C15ull) {
-  Head.Height = MaxLevel;
-  Head.Links.resize(MaxLevel);
+  clear();
 }
-
-IndexedSkipList::~IndexedSkipList() { clear(); }
 
 void IndexedSkipList::clear() {
-  Node *N = Head.Links[0].Next;
-  while (N) {
-    Node *Next = N->Links[0].Next;
-    delete N;
-    N = Next;
-  }
-  for (auto &L : Head.Links)
-    L = {};
+  Arena.assign(nextAt(HeadNode, MaxLevel), 0);
+  Arena[HeadNode + 1] = MaxLevel;
   Size = 0;
+  Top = 0;
 }
 
-uint8_t IndexedSkipList::randomHeight() {
+unsigned IndexedSkipList::randomHeight() {
   // xorshift64*; geometric heights with p = 1/2.
   RngState ^= RngState >> 12;
   RngState ^= RngState << 25;
   RngState ^= RngState >> 27;
   uint64_t R = RngState * 0x2545F4914F6CDD1Dull;
-  uint8_t H = 1;
+  unsigned H = 1;
   while ((R & 1) && H < MaxLevel) {
     ++H;
     R >>= 1;
@@ -42,106 +34,120 @@ uint8_t IndexedSkipList::randomHeight() {
   return H;
 }
 
-void IndexedSkipList::attachFront(Node *N) {
-  assert(N->Height >= 1 && N->Links.size() == N->Height);
-  for (int L = 0; L < N->Height; ++L) {
-    N->Links[L] = Head.Links[L];
-    Head.Links[L].Next = N;
-    Head.Links[L].Width = 1;
+void IndexedSkipList::attachFront(Handle N) {
+  uint32_t *A = Arena.data();
+  unsigned H = heightOf(N);
+  assert(H >= 1 && H <= MaxLevel);
+  for (unsigned L = 0; L < H; ++L) {
+    A[nextAt(N, L)] = A[nextAt(HeadNode, L)];
+    A[widthAt(N, L)] = A[widthAt(HeadNode, L)];
+    A[nextAt(HeadNode, L)] = N;
+    A[widthAt(HeadNode, L)] = 1;
   }
   // Links from the head that skip over the new front element lengthen
-  // by one.
-  for (int L = N->Height; L < MaxLevel; ++L)
-    if (Head.Links[L].Next)
-      ++Head.Links[L].Width;
+  // by one; every head link below Top is live.
+  for (unsigned L = H; L < Top; ++L)
+    ++A[widthAt(HeadNode, L)];
+  if (H > Top)
+    Top = H;
   ++Size;
 }
 
-IndexedSkipList::Node *IndexedSkipList::insertFront(uint32_t Value) {
-  Node *N = new Node;
-  N->Value = Value;
-  N->Height = randomHeight();
-  N->Links.resize(N->Height);
+IndexedSkipList::Handle IndexedSkipList::insertFront(uint32_t Value) {
+  unsigned H = randomHeight();
+  size_t At = Arena.size();
+  assert(nextAt(At, H) <= UINT32_MAX && "skiplist arena full");
+  Arena.resize(nextAt(At, H), 0);
+  Handle N = static_cast<Handle>(At);
+  Arena[N] = Value;
+  Arena[N + 1] = H;
   attachFront(N);
   return N;
 }
 
 uint32_t IndexedSkipList::valueAt(size_t Pos) const {
   assert(Pos < Size && "skiplist position out of range");
+  const uint32_t *A = Arena.data();
   // 1-based rank search: advance while the link does not overshoot.
   size_t Rank = Pos + 1;
   size_t At = 0;
-  const Node *N = &Head;
-  for (int L = MaxLevel - 1; L >= 0; --L) {
-    while (N->Links[L].Next && At + N->Links[L].Width <= Rank) {
-      At += N->Links[L].Width;
-      N = N->Links[L].Next;
+  Handle N = HeadNode;
+  for (unsigned L = Top; L-- > 0;) {
+    while (A[nextAt(N, L)] && At + A[widthAt(N, L)] <= Rank) {
+      At += A[widthAt(N, L)];
+      N = A[nextAt(N, L)];
     }
     if (At == Rank)
-      return N->Value;
+      return A[N];
   }
   assert(false && "rank search failed");
-  return N->Value;
+  return A[N];
 }
 
-IndexedSkipList::Node *IndexedSkipList::detachAt(size_t Pos) {
+IndexedSkipList::Handle IndexedSkipList::detachAt(size_t Pos) {
   assert(Pos < Size && "skiplist position out of range");
+  uint32_t *A = Arena.data();
   size_t Rank = Pos + 1;
   // Collect, per level, the last node strictly before Rank.
-  Node *Preds[MaxLevel];
+  Handle Preds[MaxLevel];
   size_t At = 0;
-  Node *N = &Head;
-  for (int L = MaxLevel - 1; L >= 0; --L) {
-    while (N->Links[L].Next && At + N->Links[L].Width < Rank) {
-      At += N->Links[L].Width;
-      N = N->Links[L].Next;
+  Handle N = HeadNode;
+  for (unsigned L = Top; L-- > 0;) {
+    while (A[nextAt(N, L)] && At + A[widthAt(N, L)] < Rank) {
+      At += A[widthAt(N, L)];
+      N = A[nextAt(N, L)];
     }
     Preds[L] = N;
   }
-  Node *Target = Preds[0]->Links[0].Next;
+  Handle Target = A[nextAt(Preds[0], 0)];
   assert(Target && "detach target missing");
-  for (int L = 0; L < MaxLevel; ++L) {
-    if (L < Target->Height) {
-      Preds[L]->Links[L].Width += Target->Links[L].Width - 1;
-      Preds[L]->Links[L].Next = Target->Links[L].Next;
-      if (!Preds[L]->Links[L].Next)
-        Preds[L]->Links[L].Width = 0;
-    } else if (Preds[L]->Links[L].Next) {
-      --Preds[L]->Links[L].Width;
-    }
+  unsigned H = heightOf(Target);
+  for (unsigned L = 0; L < H; ++L) {
+    Handle P = Preds[L];
+    Handle Next = A[nextAt(Target, L)];
+    A[nextAt(P, L)] = Next;
+    A[widthAt(P, L)] = Next ? A[widthAt(P, L)] + A[widthAt(Target, L)] - 1 : 0;
   }
+  // Taller links that jumped over the target shorten by one.
+  for (unsigned L = H; L < Top; ++L)
+    if (A[nextAt(Preds[L], L)])
+      --A[widthAt(Preds[L], L)];
+  while (Top > 0 && !A[nextAt(HeadNode, Top - 1)])
+    --Top;
   --Size;
   return Target;
 }
 
-void IndexedSkipList::eraseAt(size_t Pos) { delete detachAt(Pos); }
+void IndexedSkipList::eraseAt(size_t Pos) { detachAt(Pos); }
 
-IndexedSkipList::Node *IndexedSkipList::moveToFront(size_t Pos) {
+IndexedSkipList::Handle IndexedSkipList::moveToFront(size_t Pos) {
   if (Pos == 0) {
-    Node *Front = Head.Links[0].Next;
+    Handle Front = Arena[nextAt(HeadNode, 0)];
     assert(Front && "moveToFront on empty list");
     return Front;
   }
-  Node *N = detachAt(Pos);
+  Handle N = detachAt(Pos);
   attachFront(N);
   return N;
 }
 
-size_t IndexedSkipList::positionOf(const Node *N) const {
+size_t IndexedSkipList::positionOf(Handle N) const {
+  assert(N != HeadNode && N < Arena.size());
+  const uint32_t *A = Arena.data();
   // Walk to the end following each node's highest non-null link,
   // accumulating the distance; position = size - distance-to-end.
   size_t Dist = 0;
-  const Node *Cur = N;
+  Handle Cur = N;
   while (true) {
-    int L = Cur->Height - 1;
-    while (L >= 0 && !Cur->Links[L].Next)
+    unsigned L = heightOf(Cur);
+    while (L > 0 && !A[nextAt(Cur, L - 1)])
       --L;
-    if (L < 0)
+    if (L == 0)
       break;
-    Dist += Cur->Links[L].Width;
-    Cur = Cur->Links[L].Next;
+    Dist += A[widthAt(Cur, L - 1)];
+    Cur = A[nextAt(Cur, L - 1)];
   }
-  assert(Dist < Size || (Dist == Size && N != &Head));
+  assert(Dist < Size);
   return Size - 1 - Dist;
 }
 

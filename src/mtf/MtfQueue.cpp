@@ -10,35 +10,34 @@
 using namespace cjpack;
 
 std::optional<size_t> MtfQueue::use(uint32_t Value, bool InsertIfNew) {
-  auto It = Index.find(Value);
-  if (It == Index.end()) {
+  IndexedSkipList::Handle N = handleOf(Value);
+  if (!N) {
     if (InsertIfNew)
-      Index.emplace(Value, List.insertFront(Value));
+      pushFront(Value);
     return std::nullopt;
   }
-  size_t Pos = List.positionOf(It->second);
+  size_t Pos = List.positionOf(N);
   List.moveToFront(Pos);
   return Pos;
 }
 
 std::optional<size_t> MtfQueue::find(uint32_t Value) const {
-  auto It = Index.find(Value);
-  if (It == Index.end())
+  IndexedSkipList::Handle N = handleOf(Value);
+  if (!N)
     return std::nullopt;
-  return List.positionOf(It->second);
+  return List.positionOf(N);
 }
 
 void MtfQueue::pushFront(uint32_t Value) {
-  if (Index.count(Value))
-    return;
-  Index.emplace(Value, List.insertFront(Value));
+  assert(Value != NoValue && "NoValue is not a dense id");
+  if (Value >= Index.size())
+    Index.resize(static_cast<size_t>(Value) + 1, 0);
+  if (!Index[Value])
+    Index[Value] = List.insertFront(Value);
 }
 
 uint32_t MtfQueue::useAt(size_t Pos) {
-  // Out-of-range positions only arise from corrupt wire input; recover
-  // safely (the caller's structural checks will reject the result).
   if (Pos >= List.size())
-    return 0;
-  IndexedSkipList::Node *N = List.moveToFront(Pos);
-  return N->Value;
+    return NoValue;
+  return List.valueOf(List.moveToFront(Pos));
 }

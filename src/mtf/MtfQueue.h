@@ -5,10 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The move-to-front queue of §5. The compressor side pairs the indexed
-/// skiplist with a hashtable from element ids to skiplist nodes, so that
-/// "have we seen this element, and where is it now?" is O(log n)
-/// expected. The decompressor side only ever accesses by position.
+/// The move-to-front queue of §5. The indexed skiplist holds the order;
+/// a dense vector from element id to skiplist handle answers "have we
+/// seen this element, and where is it now?" in O(log n) expected. The
+/// compressor side needs that index; the decompressor side accesses by
+/// position, and uses the index only to keep pushFront idempotent.
+///
+/// Precondition: values are dense ids (the reference coders' model
+/// object ids). The index grows to the largest value pushed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,15 +21,19 @@
 
 #include "mtf/IndexedSkipList.h"
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 namespace cjpack {
 
 /// Move-to-front queue of element ids.
 class MtfQueue {
 public:
+  /// What useAt returns for a position past the queue: an id no caller
+  /// registers, so range checks downstream reject it.
+  static constexpr uint32_t NoValue = UINT32_MAX;
+
   size_t size() const { return List.size(); }
-  bool contains(uint32_t Value) const { return Index.count(Value) != 0; }
+  bool contains(uint32_t Value) const { return handleOf(Value) != 0; }
 
   /// Compressor: if \p Value is present, returns its current position
   /// and moves it to the front. If absent, returns nullopt and inserts
@@ -42,12 +50,17 @@ public:
   void pushFront(uint32_t Value);
 
   /// Decompressor: returns the value at \p Pos and moves it to the
-  /// front.
+  /// front. A position past the queue (corrupt input) returns NoValue
+  /// and leaves the queue as it was.
   uint32_t useAt(size_t Pos);
 
 private:
+  IndexedSkipList::Handle handleOf(uint32_t Value) const {
+    return Value < Index.size() ? Index[Value] : 0;
+  }
+
   IndexedSkipList List;
-  std::unordered_map<uint32_t, IndexedSkipList::Node *> Index;
+  std::vector<IndexedSkipList::Handle> Index; ///< value -> handle; 0 = absent
 };
 
 } // namespace cjpack

@@ -33,7 +33,6 @@
 #include "support/VarInt.h"
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <set>
 #include <thread>
 
@@ -49,17 +48,17 @@ public:
   bool encode(uint32_t Pool, uint32_t, uint32_t Object,
               ByteWriter &) override {
     Stats.note(Pool, Object);
-    return Seen[Pool].insert(Object).second;
+    return Seen.insert(Pool, Object);
   }
 
   bool preload(uint32_t Pool, uint32_t Object) override {
-    Seen[Pool].insert(Object);
+    Seen.insert(Pool, Object);
     return true;
   }
 
 private:
   RefStats &Stats;
-  std::map<uint32_t, std::set<uint32_t>> Seen;
+  PoolSeenSet Seen;
 };
 
 /// Lowers classfiles into the shared wire records, interning every
@@ -504,9 +503,9 @@ ShardPlan remapPlanForDictionary(ShardPlan Plan,
     MMap[I] = M2.internMethodRef(R);
   }
 
-  for (const auto &[Key, Count] : Plan.Stats.counts()) {
-    uint32_t Object = Key.second;
-    switch (static_cast<PoolKind>(Key.first)) {
+  Plan.Stats.forEachCount([&](uint32_t Pool, uint32_t Object,
+                              uint32_t Count) {
+    switch (static_cast<PoolKind>(Pool)) {
     case PoolKind::Package:
       Object = PkgMap[Object];
       break;
@@ -536,8 +535,8 @@ ShardPlan remapPlanForDictionary(ShardPlan Plan,
       Object = MMap[Object];
       break;
     }
-    Out.Stats.add(Key.first, Object, Count);
-  }
+    Out.Stats.add(Pool, Object, Count);
+  });
 
   // Translate the lowered records through the same maps. Every id in a
   // record was interned into Plan.M, and every Plan.M entry is mapped,

@@ -41,20 +41,53 @@ std::vector<RefEvent> makeStream(size_t N, uint64_t Seed,
   return Out;
 }
 
+/// A stream whose context queues first appear after many persistent
+/// objects: 1500 events in context 0 over 400 objects per pool, then
+/// contexts 1..24 reusing them, so each late queue is seeded from the
+/// pool's whole history before its first use.
+std::vector<RefEvent> makeLateContextStream(uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<RefEvent> Out;
+  for (uint32_t I = 0; I < 1500; ++I) {
+    uint32_t Pool = I % 2;
+    Out.push_back({Pool, 0, Pool * 1000 + I / 2 % 400});
+  }
+  for (uint32_t I = 0; I < 3000; ++I) {
+    uint32_t Pool = static_cast<uint32_t>(R.below(2));
+    uint32_t Sub = 1 + static_cast<uint32_t>(R.below(24));
+    Out.push_back({Pool, Sub,
+                   Pool * 1000 + static_cast<uint32_t>(R.zipf(450))});
+  }
+  return Out;
+}
+
+/// (pool, object) pairs seeded into both coder sides before a stream,
+/// as the §14 standard references and the shard dictionary are.
+struct Preloaded {
+  uint32_t Pool, Object;
+};
+
 /// Runs encode over the stream, then decode, checking the decoder
-/// reproduces the object sequence exactly.
-void roundTrip(RefScheme S, const std::vector<RefEvent> &Stream) {
+/// reproduces the object sequence exactly. \p Preloads seed both sides
+/// first when the scheme supports preloading.
+void roundTrip(RefScheme S, const std::vector<RefEvent> &Stream,
+               const std::vector<Preloaded> &Preloads = {}) {
   RefStats Stats;
   for (const RefEvent &E : Stream)
     Stats.note(E.Pool, E.Object);
 
+  bool Preload = refSchemeSupportsPreload(S);
   auto Enc = makeRefEncoder(S, &Stats);
+  auto Dec = makeRefDecoder(S);
+  for (const Preloaded &P : Preloads) {
+    ASSERT_EQ(Enc->preload(P.Pool, P.Object), Preload);
+    ASSERT_EQ(Dec->preload(P.Pool, P.Object), Preload);
+  }
   ByteWriter W;
   std::vector<bool> NewFlags;
   for (const RefEvent &E : Stream)
     NewFlags.push_back(Enc->encode(E.Pool, E.Sub, E.Object, W));
 
-  auto Dec = makeRefDecoder(S);
   ByteReader R(W.data());
   for (size_t I = 0; I < Stream.size(); ++I) {
     const RefEvent &E = Stream[I];
@@ -104,6 +137,23 @@ TEST_P(RefSchemeTest, RoundTripsSingleObjectRepeated) {
   roundTrip(GetParam(), Stream);
 }
 
+TEST_P(RefSchemeTest, RoundTripsContextsSeededFromHistory) {
+  roundTrip(GetParam(), makeLateContextStream(8));
+}
+
+TEST_P(RefSchemeTest, RoundTripsPreloadedObjects) {
+  // Every third object of the skewed stream's universe is preloaded
+  // (so it never needs a definition), plus objects the stream never
+  // names; preloading one twice must be harmless.
+  std::vector<Preloaded> Preloads;
+  for (uint32_t Pool = 0; Pool < 2; ++Pool)
+    for (uint32_t Object = 0; Object < 300; Object += 3)
+      Preloads.push_back({Pool, Pool * 1000 + Object});
+  Preloads.push_back({0, 5000});
+  Preloads.push_back({0, 3});
+  roundTrip(GetParam(), makeStream(3000, 77), Preloads);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, RefSchemeTest,
     ::testing::Values(RefScheme::Simple, RefScheme::Basic, RefScheme::Freq,
@@ -137,6 +187,41 @@ TEST(RefSchemes, MtfBeatsBasicOnSkewedStreams) {
   size_t Mtf = SizeOf(RefScheme::MtfTransientsContext);
   EXPECT_LT(Basic, Simple);
   EXPECT_LT(Mtf, Basic);
+}
+
+// A position past its queue can only come from corrupt input. The
+// decoder must not turn it into an object the caller has registered,
+// or the caller's range check accepts it and restores a wrong class.
+TEST(RefSchemes, MtfPositionPastQueueDecodesNoRegisteredObject) {
+  for (RefScheme S : {RefScheme::MtfBasic, RefScheme::MtfTransients,
+                      RefScheme::MtfContext,
+                      RefScheme::MtfTransientsContext}) {
+    auto Dec = makeRefDecoder(S);
+    bool Transients = S == RefScheme::MtfTransients ||
+                      S == RefScheme::MtfTransientsContext;
+    uint32_t Base = Transients ? 2 : 1;
+    ByteWriter W;
+    for (int I = 0; I < 5; ++I)
+      writeVarUInt(W, 0); // five new persistent objects, ids 0..4
+    writeVarUInt(W, Base + 4); // position 4: the oldest, id 0
+    writeVarUInt(W, Base + 5); // position 5: past the queue
+    writeVarUInt(W, Base + 125);
+    ByteReader R(W.data());
+    for (uint32_t Id = 0; Id < 5; ++Id) {
+      ASSERT_FALSE(Dec->decode(0, 0, R).has_value()) << refSchemeName(S);
+      Dec->registerNew(0, 0, Id);
+    }
+    auto Oldest = Dec->decode(0, 0, R);
+    ASSERT_TRUE(Oldest.has_value()) << refSchemeName(S);
+    EXPECT_EQ(*Oldest, 0u) << refSchemeName(S);
+    for (int I = 0; I < 2; ++I) {
+      auto Past = Dec->decode(0, 0, R);
+      ASSERT_TRUE(Past.has_value()) << refSchemeName(S);
+      EXPECT_GE(*Past, 5u) << refSchemeName(S)
+                           << ": decoded a registered object";
+    }
+    EXPECT_FALSE(R.hasError());
+  }
 }
 
 TEST(RefStats, CountsRanksAndTransients) {

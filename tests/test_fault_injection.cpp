@@ -567,30 +567,36 @@ TEST(FaultInjection, ZipTruncationAndMutation) {
 namespace {
 
 /// One stream directory entry of a version-1 archive: where its method
-/// byte sits in the archive and what it says.
+/// byte and payload sit in the archive and what they say.
 struct StreamEntry {
   size_t MethodOffset;
+  uint8_t Id;
   uint8_t Method;
+  uint64_t RawLength;
+  size_t PayloadOffset;
+  size_t StoredLength;
 };
 
 /// Walks a version-1 archive's stream directory (7-byte header, then
 /// per stream: id byte, method byte, raw-length varint, stored-length
-/// varint, payload) and returns each entry's method-byte location.
+/// varint, payload) and returns each entry's method-byte and payload
+/// locations.
 std::vector<StreamEntry> walkV1Streams(const std::vector<uint8_t> &Archive) {
   std::vector<StreamEntry> Entries;
   ByteReader R(Archive);
   R.skip(7);
   for (unsigned I = 0; I < NumStreams; ++I) {
     size_t MethodAt = R.position() + 1;
-    R.readU1(); // stream id
+    uint8_t Id = R.readU1();
     uint8_t Method = R.readU1();
-    readVarUInt(R); // raw length
-    uint64_t StoredLen = readVarUInt(R);
+    uint64_t RawLen = readVarUInt(R);
+    size_t StoredLen = static_cast<size_t>(readVarUInt(R));
     EXPECT_FALSE(R.hasError()) << "stream " << I;
     if (R.hasError())
       break;
-    R.skip(static_cast<size_t>(StoredLen));
-    Entries.push_back({MethodAt, Method});
+    Entries.push_back(
+        {MethodAt, Id, Method, RawLen, R.position(), StoredLen});
+    R.skip(StoredLen);
   }
   EXPECT_TRUE(R.atEnd());
   return Entries;
@@ -637,6 +643,59 @@ TEST(FaultInjection, BackendArchiveSweeps) {
     mutateRandomly(Indexed, expectCleanReader,
                    /*Seed=*/31 + static_cast<uint64_t>(Backend),
                    /*Rounds=*/2500);
+  }
+}
+
+// An MTF position past its queue must name no object: an id such as 0
+// passes the Transcriber's range checks whenever the model holds any
+// object of that kind, and the archive would restore different classes
+// without an error. Here each one-byte queue position in a stored
+// archive's MethodRefs stream is raised to 125 (0x7F) at every site
+// where that is past the queue; every variant must fail as Corrupt.
+TEST(FaultInjection, MtfPositionsPastTheQueueAreCorrupt) {
+  CorpusSpec Spec = scaleBenchmark(2000);
+  Spec.Seed = 9001;
+  std::vector<NamedClass> Corpus = generateCorpus(Spec);
+  Corpus.resize(40);
+  PackOptions Options;
+  Options.CompressStreams = false; // MtfTransientsContext, one shard
+  auto Packed = packClassBytes(Corpus, Options);
+  ASSERT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+  const std::vector<uint8_t> &Archive = Packed->Archive;
+  ASSERT_TRUE(static_cast<bool>(unpackClasses(Archive, testOptions())));
+
+  std::vector<StreamEntry> Streams = walkV1Streams(Archive);
+  const StreamEntry *Refs = nullptr;
+  for (const StreamEntry &E : Streams)
+    if (E.Id == static_cast<uint8_t>(StreamId::MethodRefs))
+      Refs = &E;
+  ASSERT_NE(Refs, nullptr);
+  ASSERT_EQ(Refs->RawLength, Refs->StoredLength) << "stream not stored";
+  // The stream is one varint per reference: 0 and 1 are first
+  // occurrences (persistent, transient), 2 + k is queue position k. No
+  // queue holds more objects than the stream has defined so far, so
+  // position 125 is past the queue wherever fewer than 126 came first.
+  std::vector<size_t> Sites;
+  size_t Defined = 0;
+  ByteReader R(Archive.data() + Refs->PayloadOffset, Refs->StoredLength);
+  while (!R.atEnd() && !R.hasError()) {
+    size_t At = R.position();
+    uint64_t V = readVarUInt(R);
+    Defined += V == 0;
+    if (R.position() == At + 1 && V >= 2 && V < 0x7F && Defined < 126)
+      Sites.push_back(Refs->PayloadOffset + At);
+  }
+  ASSERT_FALSE(R.hasError());
+  ASSERT_GE(Sites.size(), 100u);
+
+  for (size_t At : Sites) {
+    std::vector<uint8_t> Bad = Archive;
+    Bad[At] = 0x7F;
+    auto Classes = unpackClasses(Bad, testOptions());
+    ASSERT_FALSE(static_cast<bool>(Classes))
+        << "position at offset " << At << " decoded to other classes";
+    EXPECT_EQ(Classes.code(), ErrorCode::Corrupt)
+        << "offset " << At << ": " << Classes.message();
   }
 }
 

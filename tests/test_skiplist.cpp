@@ -36,19 +36,19 @@ TEST(IndexedSkipList, MoveToFront) {
 
 TEST(IndexedSkipList, PositionOfIsStableAcrossMoves) {
   IndexedSkipList L;
-  std::vector<IndexedSkipList::Node *> Nodes;
+  std::vector<IndexedSkipList::Handle> Nodes;
   for (uint32_t V = 0; V < 50; ++V)
     Nodes.push_back(L.insertFront(V));
   // positionOf must agree with valueAt for every node.
-  for (auto *N : Nodes) {
+  for (IndexedSkipList::Handle N : Nodes) {
     size_t Pos = L.positionOf(N);
-    EXPECT_EQ(L.valueAt(Pos), N->Value);
+    EXPECT_EQ(L.valueAt(Pos), L.valueOf(N));
   }
   L.moveToFront(37);
   L.moveToFront(12);
-  for (auto *N : Nodes) {
+  for (IndexedSkipList::Handle N : Nodes) {
     size_t Pos = L.positionOf(N);
-    EXPECT_EQ(L.valueAt(Pos), N->Value);
+    EXPECT_EQ(L.valueAt(Pos), L.valueOf(N));
   }
 }
 
@@ -74,26 +74,34 @@ TEST(IndexedSkipList, ClearAndReuse) {
   EXPECT_EQ(L.valueAt(0), 7u);
 }
 
-/// Property test: the skiplist agrees with a naive std::deque model
-/// through a long random mixed workload.
-TEST(IndexedSkipList, MatchesNaiveModelUnderRandomWorkload) {
-  IndexedSkipList L;
+namespace {
+
+/// Drives \p L and a naive std::deque model through \p Steps random
+/// operations, checking that they agree. \p InsertPct of every 100 are
+/// inserts; the rest split 5:1:1 into moves, reads and erases. Every
+/// node's handle is kept, and positionOf on a sample of them must name
+/// the node's place in the model.
+void runAgainstNaiveModel(IndexedSkipList &L, uint64_t Seed, int Steps,
+                          unsigned InsertPct) {
   std::deque<uint32_t> Model;
-  Rng R(12345);
-  uint32_t NextVal = 0;
-  for (int Step = 0; Step < 20000; ++Step) {
+  std::vector<IndexedSkipList::Handle> Handles; ///< value -> handle
+  Rng R(Seed);
+  for (int Step = 0; Step < Steps; ++Step) {
     unsigned P = static_cast<unsigned>(R.below(100));
-    if (Model.empty() || P < 30) {
-      L.insertFront(NextVal);
-      Model.push_front(NextVal);
-      ++NextVal;
-    } else if (P < 80) {
+    unsigned Op =
+        P < InsertPct ? 0 : 1 + (P - InsertPct) * 7 / (100 - InsertPct);
+    if (Model.empty() || Op == 0) {
+      uint32_t V = static_cast<uint32_t>(Handles.size());
+      Handles.push_back(L.insertFront(V));
+      Model.push_front(V);
+    } else if (Op <= 5) {
       size_t Pos = static_cast<size_t>(R.below(Model.size()));
-      L.moveToFront(Pos);
+      IndexedSkipList::Handle N = L.moveToFront(Pos);
       uint32_t V = Model[Pos];
+      ASSERT_EQ(N, Handles[V]) << "moveToFront must keep the node";
       Model.erase(Model.begin() + static_cast<long>(Pos));
       Model.push_front(V);
-    } else if (P < 90) {
+    } else if (Op == 6) {
       size_t Pos = static_cast<size_t>(R.below(Model.size()));
       ASSERT_EQ(L.valueAt(Pos), Model[Pos]);
     } else {
@@ -102,9 +110,35 @@ TEST(IndexedSkipList, MatchesNaiveModelUnderRandomWorkload) {
       Model.erase(Model.begin() + static_cast<long>(Pos));
     }
     ASSERT_EQ(L.size(), Model.size());
+    if (Step % 97 == 0 && !Model.empty()) {
+      size_t Pos = static_cast<size_t>(R.below(Model.size()));
+      uint32_t V = Model[Pos];
+      ASSERT_EQ(L.positionOf(Handles[V]), Pos) << "value " << V;
+      ASSERT_EQ(L.valueOf(Handles[V]), V);
+    }
   }
-  for (size_t I = 0; I < Model.size(); I += 37)
+  for (size_t I = 0; I < Model.size(); I += 37) {
     EXPECT_EQ(L.valueAt(I), Model[I]);
+    EXPECT_EQ(L.positionOf(Handles[Model[I]]), I);
+  }
+}
+
+} // namespace
+
+/// Property test: the skiplist agrees with a naive std::deque model
+/// through a long random mixed workload. The second list grows past
+/// 65,536 elements, so its top level climbs above 16, and is then
+/// cleared and refilled from a fresh arena.
+TEST(IndexedSkipList, MatchesNaiveModelUnderRandomWorkload) {
+  IndexedSkipList L;
+  ASSERT_NO_FATAL_FAILURE(runAgainstNaiveModel(L, 12345, 20000, 30));
+
+  IndexedSkipList Big;
+  ASSERT_NO_FATAL_FAILURE(runAgainstNaiveModel(Big, 777, 80000, 90));
+  ASSERT_GT(Big.size(), 65536u);
+  Big.clear();
+  EXPECT_TRUE(Big.empty());
+  ASSERT_NO_FATAL_FAILURE(runAgainstNaiveModel(Big, 778, 20000, 30));
 }
 
 TEST(MtfQueue, EncoderDecoderSymmetry) {

@@ -326,7 +326,9 @@ TEST(WireCompat, EveryReferenceScheme) {
   }
 }
 
-TEST(WireCompat, IndexedArchives) {
+// The zlib-free v3 rows have their own test, so that a zlib other than
+// GoldenZlib skips only the v3z rows below.
+TEST(WireCompat, IndexedRawArchives) {
   auto Classes = corpusFor(CodeStyle::Balanced);
   for (unsigned Shards : {1u, 4u}) {
     PackOptions Raw;
@@ -335,6 +337,12 @@ TEST(WireCompat, IndexedArchives) {
     Raw.RandomAccessIndex = true;
     expectGolden("balanced/s" + std::to_string(Shards) + "/v3raw",
                  Classes, Raw);
+  }
+}
+
+TEST(WireCompat, IndexedArchives) {
+  auto Classes = corpusFor(CodeStyle::Balanced);
+  for (unsigned Shards : {1u, 4u}) {
     PackOptions Z;
     Z.Shards = Shards;
     Z.RandomAccessIndex = true;
