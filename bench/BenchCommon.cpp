@@ -7,8 +7,8 @@
 #include "BenchCommon.h"
 #include "bytecode/Instruction.h"
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
+#include "pack/Packer.h"
 #include <cstdio>
 #include <cstdlib>
 

@@ -34,8 +34,8 @@
 
 #include "BenchCommon.h"
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
+#include "pack/Packer.h"
 #include <chrono>
 #include <cstdio>
 #include <cstring>

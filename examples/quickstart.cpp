@@ -27,10 +27,11 @@ int main() {
   printf("input: %zu classfiles, %zu bytes\n", Classes.size(),
          totalClassBytes(Classes));
 
-  // 2. Pack. packClassBytes parses, strips debug info, canonicalizes the
-  //    constant pool (the paper's §2 preprocessing), and encodes the
-  //    wire format with the shipping configuration (move-to-front with
-  //    transients and stack-state contexts).
+  // 2. Pack. packClassBytes parses each class and lowers it into the
+  //    wire format, keeping only what the format carries (debug info and
+  //    constant-pool order never travel: the paper's §2 preprocessing),
+  //    with the shipping configuration (move-to-front with transients
+  //    and stack-state contexts).
   auto Packed = packClassBytes(Classes, PackOptions());
   if (!Packed) {
     fprintf(stderr, "pack failed: %s\n", Packed.message().c_str());

@@ -7,10 +7,9 @@
 // Shared by the decode fuzz targets. However hostile the archive, every
 // class a successful decode returns must be a valid classfile in
 // canonical form: it re-parses from its written bytes under the
-// target's limits, every Code attribute decodes, and
-// canonicalizeConstantPool gives it back unchanged. The materializer
-// writes each class once and never reads it back, so the targets check
-// it. A violation aborts.
+// target's limits, every Code attribute decodes, and prepareForPacking
+// gives it back unchanged. The materializer writes each class once and
+// never reads it back, so the targets check it. A violation aborts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +18,8 @@
 
 #include "bytecode/Instruction.h"
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
+#include "pack/Packer.h"
 #include <cstdlib>
 
 inline void requireValidCanonical(const std::vector<cjpack::ClassFile> &Classes,
@@ -39,7 +38,7 @@ inline void requireValidCanonical(const std::vector<cjpack::ClassFile> &Classes,
       if (!Code || !decodeCode(Code->Code))
         abort();
     }
-    if (canonicalizeConstantPool(*CF) || writeClassFile(*CF) != Bytes)
+    if (prepareForPacking(*CF) || writeClassFile(*CF) != Bytes)
       abort();
   }
 }

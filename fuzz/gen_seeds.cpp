@@ -61,10 +61,20 @@ int main(int Argc, char **Argv) {
   std::filesystem::path Out(Argv[1]);
   std::vector<NamedClass> Classes = generateCorpus(smallSpec(7));
 
-  // fuzz_classfile: a few individual classfiles.
+  // fuzz_classfile: a few individual classfiles, plus the shapes whose
+  // raw bytes differ most from their canonical form, so the pack half of
+  // the target starts from them.
   for (size_t I = 0; I < Classes.size() && I < 3; ++I)
     writeSeed(Out / "fuzz_classfile", "class" + std::to_string(I) + ".bin",
               Classes[I].Data);
+  {
+    CorpusSpec Spec = smallSpec(7);
+    Spec.NumClasses = 1;
+    Spec.PctInterfaces = 0;
+    NamedClass Base = generateCorpus(Spec)[0];
+    for (const NamedClass &Shape : nonCanonicalShapes(Base))
+      writeSeed(Out / "fuzz_classfile", Shape.Name + ".bin", Shape.Data);
+  }
 
   // fuzz_verify: valid classfiles with branches, handlers, and wide
   // values, so mutation starts from code the analyzer fully walks.

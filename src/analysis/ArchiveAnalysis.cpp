@@ -6,7 +6,6 @@
 
 #include "analysis/ArchiveAnalysis.h"
 #include "bytecode/Instruction.h"
-#include "classfile/Transform.h"
 #include "support/ByteBuffer.h"
 #include <algorithm>
 #include <optional>
@@ -539,7 +538,7 @@ RefResolution ClassHierarchy::resolveMethod(std::string_view OwnerName,
 namespace {
 
 /// Marks the constant-pool entries one class's *retained* structure
-/// (live members only) reaches, mirroring PoolCanonicalizer's root set
+/// (live members only) reaches, the roots the canonical form keeps
 /// plus the debug attributes a raw (unstripped) classfile still
 /// carries. Returns the count of usable entries nothing retained
 /// references — the entries a StripUnreferenced pack would shed.
@@ -879,7 +878,7 @@ cjpack::analysis::analyzeArchive(const std::vector<ClassFile> &Classes) {
 // stripUnreferencedMembers
 //===----------------------------------------------------------------------===//
 
-Expected<StripStats>
+StripStats
 cjpack::analysis::stripUnreferencedMembers(std::vector<ClassFile> &Classes) {
   StripStats Stats;
   std::vector<DeadMember> Dead;
@@ -907,10 +906,6 @@ cjpack::analysis::stripUnreferencedMembers(std::vector<ClassFile> &Classes) {
     EraseAll(Classes[K].Methods, DeadMethods[K]);
     Stats.FieldsRemoved += DeadFields[K].size();
     Stats.MethodsRemoved += DeadMethods[K].size();
-    // Re-canonicalizing garbage-collects the pool, so the dead members'
-    // names, descriptors, and constant payloads leave the classfile.
-    if (auto E = canonicalizeConstantPool(Classes[K]))
-      return E;
   }
   return Stats;
 }

@@ -196,13 +196,14 @@ struct StripStats {
 };
 
 /// Drops every dead private member found by analyzeArchive from
-/// \p Classes and re-canonicalizes the modified classes so the members'
-/// constant-pool entries vanish too. Requires prepared classes
-/// (prepareForPacking); liveness is conservative — a reference from
-/// anywhere in the archive, even dead code, keeps a member. The packer
-/// gates this behind a restore-then-verify check (PackOptions::
-/// StripUnreferenced); callers using it directly should do the same.
-Expected<StripStats> stripUnreferencedMembers(std::vector<ClassFile> &Classes);
+/// \p Classes. Only the members go: their constant-pool entries stay
+/// until prepareForPacking (pack/Packer.h, above this library) rebuilds
+/// the class. Liveness is conservative — a reference from anywhere in
+/// the archive, even dead code, keeps a member. The packer prepares
+/// the classes before and after, and gates the result behind a
+/// restore-then-verify check (PackOptions::StripUnreferenced); callers
+/// using it directly should do the same.
+StripStats stripUnreferencedMembers(std::vector<ClassFile> &Classes);
 
 /// True for names under the platform namespaces (java/, javax/, jdk/,
 /// sun/) that an archive legitimately references without defining;

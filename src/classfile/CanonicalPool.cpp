@@ -6,8 +6,10 @@
 
 #include "classfile/CanonicalPool.h"
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <numeric>
+#include <span>
 
 using namespace cjpack;
 
@@ -22,7 +24,6 @@ enum CpGroup : uint8_t {
   MemberRef,
   NameType,
   Text,       ///< Utf8, by content
-  Other,
 };
 
 CpGroup groupOf(const CpEntry &E, bool Ldc) {
@@ -42,10 +43,9 @@ CpGroup groupOf(const CpEntry &E, bool Ldc) {
     return MemberRef;
   case CpTag::NameAndType:
     return NameType;
-  case CpTag::Utf8:
-    return Text;
   default:
-    return Other;
+    assert(E.Tag == CpTag::Utf8 && "the builder adds no other kind");
+    return Text;
   }
 }
 
@@ -100,27 +100,6 @@ uint64_t mix(uint64_t X) {
 
 } // namespace
 
-unsigned CanonicalPoolBuilder::refFields(CpTag Tag) {
-  switch (Tag) {
-  case CpTag::Class:
-  case CpTag::String:
-  case CpTag::MethodType:
-  case CpTag::Module:
-  case CpTag::Package:
-  case CpTag::MethodHandle:
-    return 1;
-  case CpTag::FieldRef:
-  case CpTag::MethodRef:
-  case CpTag::InterfaceMethodRef:
-  case CpTag::NameAndType:
-  case CpTag::Dynamic:
-  case CpTag::InvokeDynamic:
-    return 2;
-  default:
-    return 0;
-  }
-}
-
 CanonicalPoolBuilder::CanonicalPoolBuilder(std::shared_ptr<Arena> Mem)
     : Mem(std::move(Mem)) {
   if (!this->Mem)
@@ -134,17 +113,14 @@ CanonicalPoolBuilder::CanonicalPoolBuilder(std::shared_ptr<Arena> Mem)
 size_t CanonicalPoolBuilder::hashOf(const Item &I) const {
   if (I.E.Tag == CpTag::Utf8)
     return std::hash<std::string_view>{}(I.E.Text);
-  uint64_t H = static_cast<uint64_t>(I.E.Tag) |
-               static_cast<uint64_t>(I.E.RefKind) << 8;
-  H = mix(H ^ I.E.Bits);
+  uint64_t H = mix(static_cast<uint64_t>(I.E.Tag) ^ I.E.Bits);
   return static_cast<size_t>(
       mix(H ^ (static_cast<uint64_t>(I.R1) << 32 | I.R2)));
 }
 
 bool CanonicalPoolBuilder::sameContent(const Item &A, const Item &B) {
-  return A.E.Tag == B.E.Tag && A.E.Bits == B.E.Bits &&
-         A.E.RefKind == B.E.RefKind && A.R1 == B.R1 && A.R2 == B.R2 &&
-         A.E.Text == B.E.Text;
+  return A.E.Tag == B.E.Tag && A.E.Bits == B.E.Bits && A.R1 == B.R1 &&
+         A.R2 == B.R2 && A.E.Text == B.E.Text;
 }
 
 void CanonicalPoolBuilder::growIndex() {
@@ -240,45 +216,6 @@ CanonicalPoolBuilder::memberRef(CpTag Kind, std::string_view Owner,
   return add(P);
 }
 
-std::vector<CanonicalPoolBuilder::Ref>
-CanonicalPoolBuilder::copyFrom(const ConstantPool &Old,
-                               std::span<const uint8_t> Keep) {
-  std::vector<Ref> Handles(Old.count(), Null);
-  size_t First = Items.size();
-  Items.reserve(First + Old.count());
-  for (uint16_t I = 1; I < Old.count() && I < Keep.size(); ++I) {
-    if (!Keep[I])
-      continue;
-    Handles[I] = static_cast<Ref>(Items.size());
-    Item It;
-    It.E = Old.entry(I);
-    Items.push_back(It);
-  }
-  auto HandleOf = [&](uint16_t Index) {
-    return Index < Handles.size() ? Handles[Index] : Null;
-  };
-  for (size_t K = First; K < Items.size(); ++K) {
-    Item &It = Items[K];
-    unsigned N = refFields(It.E.Tag);
-    if (N >= 1)
-      It.R1 = HandleOf(It.E.Ref1);
-    if (N == 2)
-      It.R2 = HandleOf(It.E.Ref2);
-    // The first of equal entries is the one later adds find.
-    Ref &Slot = slotFor(It);
-    if (Slot == Null) {
-      Slot = static_cast<Ref>(K);
-      ++Indexed;
-    }
-  }
-  return Handles;
-}
-
-std::string_view CanonicalPoolBuilder::textOf(Ref R) const {
-  const CpEntry &E = Items[R].E;
-  return E.Tag == CpTag::Utf8 ? E.Text : std::string_view();
-}
-
 int CanonicalPoolBuilder::compareContent(const Item &A,
                                          const Item &B) const {
   switch (A.E.Tag) {
@@ -291,40 +228,20 @@ int CanonicalPoolBuilder::compareContent(const Item &A,
     return A.E.Bits < B.E.Bits ? -1 : A.E.Bits > B.E.Bits;
   case CpTag::Class:
   case CpTag::String:
-  case CpTag::MethodType:
-  case CpTag::Module:
-  case CpTag::Package:
     return textOf(A.R1).compare(textOf(B.R1));
   case CpTag::NameAndType: {
     std::string_view KA[] = {textOf(A.R1), textOf(A.R2)};
     std::string_view KB[] = {textOf(B.R1), textOf(B.R2)};
     return compareJoined(KA, KB);
   }
-  case CpTag::FieldRef:
-  case CpTag::MethodRef:
-  case CpTag::InterfaceMethodRef: {
-    // Owner name, then the NameAndType's name and descriptor; a
-    // reference whose fields name other kinds contributes empty text.
-    auto Parts = [&](const Item &I, std::string_view(&Out)[3]) {
-      const Item &C = Items[I.R1], &NT = Items[I.R2];
-      Out[0] = C.E.Tag == CpTag::Class ? textOf(C.R1) : std::string_view();
-      if (NT.E.Tag != CpTag::NameAndType)
-        return size_t(2); // Out[1] stays empty
-      Out[1] = textOf(NT.R1);
-      Out[2] = textOf(NT.R2);
-      return size_t(3);
-    };
-    std::string_view KA[3], KB[3];
-    size_t NA = Parts(A, KA), NB = Parts(B, KB);
-    return compareJoined({KA, NA}, {KB, NB});
-  }
   default: {
-    // The remaining kinds compare their raw reference fields.
-    auto Raw = [](const CpEntry &E) {
-      return static_cast<uint32_t>(E.Ref1) << 16 | E.Ref2;
+    // A member ref: owner name, then the NameAndType's name and
+    // descriptor.
+    auto Parts = [&](const Item &I) {
+      const Item &C = Items[I.R1], &NT = Items[I.R2];
+      return std::array{textOf(C.R1), textOf(NT.R1), textOf(NT.R2)};
     };
-    uint32_t RA = Raw(A.E), RB = Raw(B.E);
-    return RA < RB ? -1 : RA > RB;
+    return compareJoined(Parts(A), Parts(B));
   }
   }
 }
@@ -341,8 +258,8 @@ bool CanonicalPoolBuilder::less(Ref A, Ref B) const {
 }
 
 Error CanonicalPoolBuilder::finish(ConstantPool &Out) {
-  for (Item &I : Items)
-    I.Group = groupOf(I.E, I.Ldc);
+  for (Ref R = 1; R < Items.size(); ++R)
+    Items[R].Group = groupOf(Items[R].E, Items[R].Ldc);
   std::vector<Ref> Order(Items.size() - 1);
   std::iota(Order.begin(), Order.end(), Ref(1));
   std::sort(Order.begin(), Order.end(),
@@ -366,14 +283,11 @@ Error CanonicalPoolBuilder::finish(ConstantPool &Out) {
   Pool.Entries.reserve(Next);
   for (Ref R : Order) {
     CpEntry E = Items[R].E;
-    unsigned N = refFields(E.Tag);
-    if (N >= 1)
-      E.Ref1 = index(Items[R].R1);
-    if (N == 2)
-      E.Ref2 = index(Items[R].R2);
+    E.Ref1 = index(Items[R].R1); // Null is index 0
+    E.Ref2 = index(Items[R].R2);
     Pool.appendRaw(E);
   }
-  Pool.IndexPending = true;
+  Pool.invalidateIndex();
   Out = std::move(Pool);
   return Error::success();
 }

@@ -6,27 +6,24 @@
 ///
 /// \file
 /// The one home of the canonical constant-pool order (§2, §9, §12). A
-/// CanonicalPoolBuilder collects entries, then sorts, numbers, checks
-/// and emits them as a ConstantPool:
+/// CanonicalPoolBuilder collects entries by content, then sorts,
+/// numbers, checks and emits them as a ConstantPool:
 ///
 ///  * group first: int/float/string loaded by a one-byte ldc (so every
 ///    ldc operand fits its byte, §9), other int/float/string,
-///    long/double, Class, member refs, NameAndType, Utf8, then every
-///    other kind;
+///    long/double, Class, member refs, NameAndType, Utf8;
 ///  * within a group by tag, then by the content the entry denotes (a
 ///    Class by its name, a member ref by owner, name and descriptor), so
 ///    equal classes get equal pools whatever their original numbering
-///    (§12). Entries of the last group compare their raw reference
-///    fields; entries equal in content keep the order they were added;
+///    (§12);
 ///  * long/double take two slots. A pool past the 16-bit
 ///    constant_pool_count is LimitExceeded, an ldc operand past index
 ///    255 Corrupt.
 ///
-/// Both directions build through it. canonicalizeConstantPool copies
-/// the reachable part of an existing pool in (duplicates kept, in index
-/// order). The unpacker's materializer adds every entry a class record
-/// references by content (duplicates merged), takes the final indices,
-/// and writes the class once.
+/// Its one user is the materializer (pack/Materialize.h), which adds
+/// every entry a class record references (equal entries merge), takes
+/// the final indices, and writes the class once; unpacking and
+/// prepareForPacking both build classes through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +31,6 @@
 #define CJPACK_CLASSFILE_CANONICALPOOL_H
 
 #include "classfile/ConstantPool.h"
-#include <span>
 
 namespace cjpack {
 
@@ -63,15 +59,6 @@ public:
                 std::string_view Desc);
   /// @}
 
-  /// Adds a copy of each entry of \p Old whose \p Keep flag is nonzero,
-  /// in index order and duplicates included. A kept entry's references
-  /// must name kept entries (or 0). Returns the handle of every old
-  /// index, Null where not kept. Text views are copied as they are, so
-  /// \p Old's text must live in this builder's arena or outlive the
-  /// emitted pool.
-  std::vector<Ref> copyFrom(const ConstantPool &Old,
-                            std::span<const uint8_t> Keep);
-
   /// Marks \p R as the operand of a one-byte ldc: a marked int, float
   /// or string sorts first, and every marked entry must land below
   /// index 256.
@@ -85,13 +72,9 @@ public:
   /// The final constant-pool index of \p R (after finish).
   uint16_t index(Ref R) const { return Items[R].Index; }
 
-  /// How many of \p Tag's Ref1/Ref2 fields hold constant-pool indices:
-  /// 0, 1 (Ref1) or 2.
-  static unsigned refFields(CpTag Tag);
-
 private:
   struct Item {
-    CpEntry E;         ///< Ref1/Ref2 raw for copied entries, else unused
+    CpEntry E;         ///< Ref1/Ref2 unused until emitted
     Ref R1 = Null;     ///< handles of the entries E refers to
     Ref R2 = Null;
     uint16_t Index = 0;
@@ -106,7 +89,8 @@ private:
   void growIndex();
   size_t hashOf(const Item &I) const;
   static bool sameContent(const Item &A, const Item &B);
-  std::string_view textOf(Ref R) const;
+  /// The text of Utf8 entry \p R.
+  std::string_view textOf(Ref R) const { return Items[R].E.Text; }
   int compareContent(const Item &A, const Item &B) const;
   bool less(Ref A, Ref B) const;
 

@@ -69,7 +69,7 @@ std::string ConstantPool::keyOf(const CpEntry &E) const {
 
 uint16_t ConstantPool::addKeyed(CpEntry E) {
   if (IndexPending)
-    rebuildIndex();
+    buildIndex();
   std::string Key = keyOf(E);
   auto It = Dedup.find(Key);
   if (It != Dedup.end())
@@ -83,7 +83,7 @@ uint16_t ConstantPool::addKeyed(CpEntry E) {
   return Index;
 }
 
-void ConstantPool::rebuildIndex() {
+void ConstantPool::buildIndex() {
   IndexPending = false;
   Dedup.clear();
   for (uint16_t I = 1; I < count(); ++I)
@@ -173,4 +173,23 @@ std::string_view ConstantPool::className(uint16_t Index) const {
   const CpEntry &E = entry(Index);
   assert(E.Tag == CpTag::Class && "expected a Class entry");
   return utf8(E.Ref1);
+}
+
+static Error notA(const char *Kind, uint16_t Index) {
+  return makeError(ErrorCode::Corrupt, "constant pool: index " +
+                                           std::to_string(Index) +
+                                           " is not a " + Kind + " entry");
+}
+
+Expected<std::string_view> ConstantPool::checkedUtf8(uint16_t Index) const {
+  if (const CpEntry *E = find(Index, CpTag::Utf8))
+    return E->Text;
+  return notA("Utf8", Index);
+}
+
+Expected<std::string_view>
+ConstantPool::checkedClassName(uint16_t Index) const {
+  if (const CpEntry *E = find(Index, CpTag::Class))
+    return checkedUtf8(E->Ref1);
+  return notA("Class", Index);
 }

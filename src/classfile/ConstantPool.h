@@ -82,9 +82,8 @@ class ConstantPool {
 public:
   ConstantPool() { Entries.emplace_back(); }
 
-  /// Constructs a pool sharing \p Mem, so entries copied from another
-  /// pool backed by the same arena stay valid after the swap
-  /// (canonicalization rebuilds pools this way).
+  /// Constructs a pool sharing \p Mem, whose text its entries view (the
+  /// canonical pool builder emits pools this way).
   explicit ConstantPool(std::shared_ptr<Arena> Mem) : Mem(std::move(Mem)) {
     Entries.emplace_back();
   }
@@ -138,8 +137,27 @@ public:
   /// \p Index.
   std::string_view className(uint16_t Index) const;
 
-  /// Rebuilds the dedup maps after entries are replaced wholesale.
-  void rebuildIndex();
+  /// \name Checked lookups
+  /// For indices nothing has vetted (the parser checks only this_class
+  /// and attribute names): the wrong kind, or no entry, is Corrupt.
+  /// @{
+  /// The entry at \p Index if it is tagged \p Tag, else null.
+  const CpEntry *find(uint16_t Index, CpTag Tag) const {
+    return isValidIndex(Index) && Entries[Index].Tag == Tag
+               ? &Entries[Index]
+               : nullptr;
+  }
+  /// The text of the Utf8 entry at \p Index.
+  Expected<std::string_view> checkedUtf8(uint16_t Index) const;
+  /// The name of the Class entry at \p Index, itself a Utf8 entry.
+  Expected<std::string_view> checkedClassName(uint16_t Index) const;
+  /// @}
+
+  /// Marks the dedup index stale after entries were appended raw or
+  /// replaced wholesale; the next add rebuilds it, so a pool that is
+  /// only read (a parsed class being packed, a restored one being
+  /// written) never builds one.
+  void invalidateIndex() { IndexPending = true; }
 
   /// The arena owning this pool's interned text (created lazily).
   /// Shared by every copy of the pool; appending is safe because
@@ -150,16 +168,11 @@ public:
     return *Mem;
   }
 
-  /// The shared handle itself (may be null if nothing was ever
-  /// interned). Pass to the ConstantPool(shared_ptr) constructor to
-  /// build a replacement pool over the same storage.
-  const std::shared_ptr<Arena> &arenaPtr() const { return Mem; }
-
 private:
-  /// Emits pools whose dedup index waits for the first add (a restored
-  /// class is usually only written).
+  /// Sizes the pools it emits up front.
   friend class CanonicalPoolBuilder;
 
+  void buildIndex();
   uint16_t addKeyed(CpEntry E);
   std::string keyOf(const CpEntry &E) const;
 

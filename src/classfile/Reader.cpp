@@ -129,7 +129,7 @@ private:
     if (Index != Count)
       return makeError(ErrorCode::Corrupt,
                        "classfile: wide constant overruns pool");
-    CF.CP.rebuildIndex();
+    CF.CP.invalidateIndex();
     return R.takeError("classfile constant pool");
   }
 

@@ -6,6 +6,7 @@
 
 #include "corpus/Corpus.h"
 #include "bytecode/Instruction.h"
+#include "classfile/Reader.h"
 #include "classfile/Writer.h"
 #include "corpus/BytecodeBuilder.h"
 #include <algorithm>
@@ -1151,6 +1152,43 @@ std::vector<NamedClass> cjpack::generateCorpus(const CorpusSpec &Spec) {
     C.Data = writeClassFile(CF);
     Out.push_back(std::move(C));
   }
+  return Out;
+}
+
+std::vector<NamedClass> cjpack::nonCanonicalShapes(const NamedClass &Class) {
+  std::vector<NamedClass> Out;
+  auto Add = [&](const char *Shape, auto Edit) {
+    auto CF = parseClassFile(Class.Data);
+    if (!CF)
+      return;
+    for (MemberInfo &M : CF->Methods)
+      if (auto Name = CF->CP.checkedUtf8(M.NameIndex);
+          Name && *Name == "<init>") {
+        Edit(*CF, M);
+        Out.push_back({Shape, writeClassFile(*CF)});
+        return;
+      }
+  };
+  Add("duplicate-init-utf8", [](ClassFile &CF, MemberInfo &Ctor) {
+    CpEntry Init;
+    Init.Tag = CpTag::Utf8;
+    Init.Text = "<init>";
+    Ctor.NameIndex = CF.CP.appendRaw(Init);
+  });
+  Add("exceptions-before-code", [](ClassFile &CF, MemberInfo &Ctor) {
+    ByteWriter W;
+    W.writeU2(1);
+    W.writeU2(CF.CP.addClass("java/io/IOException"));
+    Ctor.Attributes.insert(Ctor.Attributes.begin(),
+                           {"Exceptions", CF.arena().adopt(W.take())});
+  });
+  Add("deprecated-before-code", [](ClassFile &, MemberInfo &Ctor) {
+    Ctor.Attributes.insert(Ctor.Attributes.begin(), {"Deprecated", {}});
+  });
+  Add("synthetic-twice", [](ClassFile &CF, MemberInfo &) {
+    CF.Attributes.push_back({"Synthetic", {}});
+    CF.Attributes.push_back({"Synthetic", {}});
+  });
   return Out;
 }
 

@@ -89,6 +89,15 @@ CorpusSpec paperBenchmark(const std::string &Name, double Scale = 1.0);
 /// shard autotuning, and parallel throughput at modern jar sizes.
 CorpusSpec scaleBenchmark(unsigned NumClasses = 10000);
 
+/// Four variants of \p Class whose bytes differ from their canonical
+/// form (pack/Packer.h's prepareForPacking) in ways a pool-only
+/// canonicalizer keeps: the constructor named through a second Utf8
+/// "<init>" entry, an Exceptions attribute ahead of a method's Code
+/// attribute, a Deprecated attribute ahead of it, and the class marked
+/// Synthetic twice. Each is named for its shape. A class that does not
+/// parse, or has no constructor (an interface), gives none.
+std::vector<NamedClass> nonCanonicalShapes(const NamedClass &Class);
+
 } // namespace cjpack
 
 #endif // CJPACK_CORPUS_CORPUS_H

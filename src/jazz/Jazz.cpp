@@ -7,9 +7,9 @@
 #include "jazz/Jazz.h"
 #include "bytecode/Instruction.h"
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "coder/RefCoder.h"
 #include "pack/CodeCommon.h"
+#include "pack/Packer.h"
 #include "support/VarInt.h"
 #include "zip/Zlib.h"
 #include <map>
@@ -756,7 +756,7 @@ private:
       CF.Methods.push_back(std::move(MI));
     }
 
-    if (auto E = canonicalizeConstantPool(CF))
+    if (auto E = prepareForPacking(CF))
       return E;
     return CF;
   }

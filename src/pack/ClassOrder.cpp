@@ -6,6 +6,7 @@
 
 #include "pack/ClassOrder.h"
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -13,22 +14,44 @@ using namespace cjpack;
 
 namespace {
 
+using NameMap = std::map<std::string, size_t, std::less<>>;
+
+/// Each class's index by name. A class whose name does not resolve is
+/// left out: packing rejects it when it lowers the class.
+NameMap classesByName(const std::vector<ClassFile> &Classes) {
+  NameMap ByName;
+  for (size_t I = 0; I < Classes.size(); ++I)
+    if (auto Name = Classes[I].CP.checkedClassName(Classes[I].ThisClass))
+      ByName.emplace(*Name, I);
+  return ByName;
+}
+
+/// The position in \p ByName of the class Class entry \p Index of \p CF
+/// names, if it is in the set.
+std::optional<size_t> findClass(const NameMap &ByName, const ClassFile &CF,
+                                uint16_t Index) {
+  auto Name = CF.CP.checkedClassName(Index);
+  if (!Name)
+    return std::nullopt;
+  auto It = ByName.find(*Name);
+  if (It == ByName.end())
+    return std::nullopt;
+  return It->second;
+}
+
 struct OrderBuilder {
   const std::vector<ClassFile> &Classes;
-  std::map<std::string, size_t, std::less<>> ByName;
+  NameMap ByName;
   std::vector<uint8_t> State; ///< 0 unvisited, 1 on stack, 2 done
   std::vector<size_t> Order;
 
   explicit OrderBuilder(const std::vector<ClassFile> &Classes)
-      : Classes(Classes), State(Classes.size(), 0) {
-    for (size_t I = 0; I < Classes.size(); ++I)
-      ByName.emplace(Classes[I].thisClassName(), I);
-  }
+      : Classes(Classes), ByName(classesByName(Classes)),
+        State(Classes.size(), 0) {}
 
-  void visitName(std::string_view Name) {
-    auto It = ByName.find(Name);
-    if (It != ByName.end())
-      visit(It->second);
+  void visitSuper(const ClassFile &CF, uint16_t Index) {
+    if (auto I = findClass(ByName, CF, Index))
+      visit(*I);
   }
 
   void visit(size_t I) {
@@ -37,9 +60,9 @@ struct OrderBuilder {
     State[I] = 1;
     const ClassFile &CF = Classes[I];
     if (CF.SuperClass != 0)
-      visitName(CF.CP.className(CF.SuperClass));
+      visitSuper(CF, CF.SuperClass);
     for (uint16_t Iface : CF.Interfaces)
-      visitName(CF.CP.className(Iface));
+      visitSuper(CF, Iface);
     State[I] = 2;
     Order.push_back(I);
   }
@@ -56,20 +79,17 @@ cjpack::eagerLoadOrder(const std::vector<ClassFile> &Classes) {
 }
 
 bool cjpack::isEagerLoadable(const std::vector<ClassFile> &Classes) {
-  std::map<std::string, size_t, std::less<>> ByName;
-  for (size_t I = 0; I < Classes.size(); ++I)
-    ByName.emplace(Classes[I].thisClassName(), I);
-  auto DefinedBefore = [&](std::string_view Name, size_t I) {
-    auto It = ByName.find(Name);
-    return It == ByName.end() || It->second < I;
-  };
+  NameMap ByName = classesByName(Classes);
   for (size_t I = 0; I < Classes.size(); ++I) {
     const ClassFile &CF = Classes[I];
-    if (CF.SuperClass != 0 &&
-        !DefinedBefore(CF.CP.className(CF.SuperClass), I))
+    auto DefinedBefore = [&](uint16_t Index) {
+      auto Super = findClass(ByName, CF, Index);
+      return !Super || *Super < I;
+    };
+    if (CF.SuperClass != 0 && !DefinedBefore(CF.SuperClass))
       return false;
     for (uint16_t Iface : CF.Interfaces)
-      if (!DefinedBefore(CF.CP.className(Iface), I))
+      if (!DefinedBefore(Iface))
         return false;
   }
   return true;

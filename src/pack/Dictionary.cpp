@@ -132,7 +132,8 @@ SharedDictionary::deserialize(ByteReader &R, const DecodeLimits &Limits,
     DictClassRef Ref;
     Ref.Dims = Body.readU1();
     Ref.Base = static_cast<char>(Body.readU1());
-    if (Ref.Base == 'L') {
+    bool Named = Ref.Base == 'L';
+    if (Named) {
       Ref.Package = static_cast<uint32_t>(readVarUInt(Body));
       Ref.Simple = static_cast<uint32_t>(readVarUInt(Body));
       if (Ref.Package >= D.Packages.size() ||
@@ -142,6 +143,14 @@ SharedDictionary::deserialize(ByteReader &R, const DecodeLimits &Limits,
     }
     if (Body.hasError())
       return makeError(ErrorCode::Corrupt, "dictionary: truncated class refs");
+    std::string_view Package, Simple;
+    if (Named) {
+      Package = D.Packages[Ref.Package];
+      Simple = D.Simples[Ref.Simple];
+    }
+    if (!isWellFormedClassRef(Ref.Dims, Ref.Base, Package, Simple))
+      return makeError(ErrorCode::Corrupt,
+                       "dictionary: malformed class ref");
     D.ClassRefs.push_back(Ref);
   }
   return D;

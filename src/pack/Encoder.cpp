@@ -20,11 +20,11 @@
 #include "analysis/ArchiveAnalysis.h"
 #include "analysis/Verifier.h"
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "pack/ArchiveFormat.h"
 #include "pack/ClassOrder.h"
 #include "pack/Dictionary.h"
+#include "pack/Materialize.h"
 #include "pack/Packer.h"
 #include "pack/Preload.h"
 #include "pack/Transcode.h"
@@ -64,7 +64,10 @@ private:
 /// Lowers classfiles into the shared wire records, interning every
 /// referenced object into \p M. The intern calls happen in the same
 /// preorder the Transcriber will visit the records in, so object ids
-/// equal their first-occurrence order on the wire.
+/// equal their first-occurrence order on the wire. It reads only what
+/// the format carries (debug and unknown attributes are never looked
+/// at), and nothing before it vets the pool, so every index it follows
+/// is checked for range and kind: a bad one is Corrupt.
 class Lowerer {
 public:
   explicit Lowerer(Model &M) : M(M) {}
@@ -83,19 +86,19 @@ public:
       ClassFlags |= PackedFlagDeprecated;
     R.Flags = ClassFlags;
 
-    auto This = M.internClassByInternalName(CF.thisClassName());
+    auto This = classAt(CF.CP, CF.ThisClass);
     if (!This)
       return This.takeError();
     R.ThisId = *This;
     R.HasSuper = CF.SuperClass != 0;
     if (R.HasSuper) {
-      auto Super = M.internClassByInternalName(CF.superClassName());
+      auto Super = classAt(CF.CP, CF.SuperClass);
       if (!Super)
         return Super.takeError();
       R.SuperId = *Super;
     }
     for (uint16_t Iface : CF.Interfaces) {
-      auto Id = M.internClassByInternalName(CF.CP.className(Iface));
+      auto Id = classAt(CF.CP, Iface);
       if (!Id)
         return Id.takeError();
       R.Interfaces.push_back(*Id);
@@ -126,6 +129,54 @@ private:
     return Flags;
   }
 
+  static Error corrupt(std::string Msg) {
+    return makeError(ErrorCode::Corrupt, "pack: " + std::move(Msg));
+  }
+
+  /// Interns the class Class entry \p Index names.
+  Expected<uint32_t> classAt(const ConstantPool &CP, uint16_t Index) {
+    auto Name = CP.checkedClassName(Index);
+    if (!Name)
+      return Name.takeError();
+    return M.internClassByInternalName(*Name);
+  }
+
+  /// A loadable constant (ldc operand or ConstantValue) of \p E's kind;
+  /// Kind stays None for any other kind.
+  Expected<CodeOperand> constantOf(const ConstantPool &CP,
+                                   const CpEntry &E) {
+    CodeOperand Out;
+    switch (E.Tag) {
+    case CpTag::Integer:
+      Out.Kind = ConstKind::Int;
+      Out.IntValue = static_cast<int32_t>(E.Bits);
+      break;
+    case CpTag::Float:
+      Out.Kind = ConstKind::Float;
+      Out.RawBits = E.Bits;
+      break;
+    case CpTag::Long:
+      Out.Kind = ConstKind::Long;
+      Out.RawBits = E.Bits;
+      break;
+    case CpTag::Double:
+      Out.Kind = ConstKind::Double;
+      Out.RawBits = E.Bits;
+      break;
+    case CpTag::String: {
+      auto Text = CP.checkedUtf8(E.Ref1);
+      if (!Text)
+        return Text.takeError();
+      Out.Kind = ConstKind::String;
+      Out.Id = M.internStringConst(*Text);
+      break;
+    }
+    default:
+      break;
+    }
+    return Out;
+  }
+
   Error lowerField(const ClassFile &CF, uint32_t ThisId,
                    const MemberInfo &F, FieldRec &Out) {
     const AttributeInfo *Const =
@@ -134,58 +185,39 @@ private:
     if (Const)
       Out.Flags |= PackedFlagAux0;
 
-    auto Type = parseFieldDescriptor(CF.CP.utf8(F.DescriptorIndex));
+    auto Name = CF.CP.checkedUtf8(F.NameIndex);
+    if (!Name)
+      return Name.takeError();
+    auto Desc = CF.CP.checkedUtf8(F.DescriptorIndex);
+    if (!Desc)
+      return Desc.takeError();
+    auto Type = parseFieldDescriptor(*Desc);
     if (!Type)
       return Type.takeError();
     MFieldRef Ref;
     Ref.Owner = ThisId;
-    Ref.Name = M.internFieldName(CF.CP.utf8(F.NameIndex));
-    Ref.Type = M.internTypeDesc(*Type);
+    Ref.Name = M.internFieldName(*Name);
+    auto TypeId = M.internTypeDesc(*Type);
+    if (!TypeId)
+      return TypeId.takeError();
+    Ref.Type = *TypeId;
     Out.RefId = M.internFieldRef(Ref);
 
     if (Const) {
       if (Const->Bytes.size() != 2)
-        return makeError("pack: malformed ConstantValue");
+        return corrupt("malformed ConstantValue");
       ByteReader CR(Const->Bytes);
       uint16_t CpIdx = CR.readU2();
       if (!CF.CP.isValidIndex(CpIdx))
-        return makeError("pack: dangling ConstantValue index");
-      const CpEntry &E = CF.CP.entry(CpIdx);
-      VType FieldType = M.classRefVType(Ref.Type);
-      switch (E.Tag) {
-      case CpTag::Integer:
-        if (FieldType != VType::Int)
-          return makeError("pack: ConstantValue type mismatch");
-        Out.Const.Kind = ConstKind::Int;
-        Out.Const.IntValue = static_cast<int32_t>(E.Bits);
-        break;
-      case CpTag::Float:
-        if (FieldType != VType::Float)
-          return makeError("pack: ConstantValue type mismatch");
-        Out.Const.Kind = ConstKind::Float;
-        Out.Const.RawBits = E.Bits;
-        break;
-      case CpTag::Long:
-        if (FieldType != VType::Long)
-          return makeError("pack: ConstantValue type mismatch");
-        Out.Const.Kind = ConstKind::Long;
-        Out.Const.RawBits = E.Bits;
-        break;
-      case CpTag::Double:
-        if (FieldType != VType::Double)
-          return makeError("pack: ConstantValue type mismatch");
-        Out.Const.Kind = ConstKind::Double;
-        Out.Const.RawBits = E.Bits;
-        break;
-      case CpTag::String:
-        if (FieldType != VType::Ref)
-          return makeError("pack: ConstantValue type mismatch");
-        Out.Const.Kind = ConstKind::String;
-        Out.Const.Id = M.internStringConst(CF.CP.utf8(E.Ref1));
-        break;
-      default:
-        return makeError("pack: unsupported ConstantValue tag");
-      }
+        return corrupt("dangling ConstantValue index");
+      auto Value = constantOf(CF.CP, CF.CP.entry(CpIdx));
+      if (!Value)
+        return Value.takeError();
+      if (Value->Kind == ConstKind::None)
+        return corrupt("unsupported ConstantValue tag");
+      if (constVType(Value->Kind) != M.classRefVType(Ref.Type))
+        return corrupt("ConstantValue type mismatch");
+      Out.Const = *Value;
     }
     return Error::success();
   }
@@ -201,10 +233,16 @@ private:
     if (Exceptions)
       Out.Flags |= PackedFlagAux1;
 
+    auto Name = CF.CP.checkedUtf8(Mth.NameIndex);
+    if (!Name)
+      return Name.takeError();
+    auto Desc = CF.CP.checkedUtf8(Mth.DescriptorIndex);
+    if (!Desc)
+      return Desc.takeError();
     MMethodRef Ref;
     Ref.Owner = ThisId;
-    Ref.Name = M.internMethodName(CF.CP.utf8(Mth.NameIndex));
-    auto Sig = M.internSignature(CF.CP.utf8(Mth.DescriptorIndex));
+    Ref.Name = M.internMethodName(*Name);
+    auto Sig = M.internSignature(*Desc);
     if (!Sig)
       return Sig.takeError();
     Ref.Sig = std::move(*Sig);
@@ -215,9 +253,9 @@ private:
       uint16_t N = ER.readU2();
       for (uint16_t K = 0; K < N; ++K) {
         uint16_t CpIdx = ER.readU2();
-        if (ER.hasError() || !CF.CP.isValidIndex(CpIdx))
-          return makeError("pack: malformed Exceptions attribute");
-        auto CId = M.internClassByInternalName(CF.CP.className(CpIdx));
+        if (ER.hasError())
+          return corrupt("malformed Exceptions attribute");
+        auto CId = classAt(CF.CP, CpIdx);
         if (!CId)
           return CId.takeError();
         Out.Exceptions.push_back(*CId);
@@ -251,8 +289,7 @@ private:
       H.HandlerPc = E.HandlerPc;
       H.HasCatch = E.CatchType != 0;
       if (H.HasCatch) {
-        auto CId =
-            M.internClassByInternalName(CF.CP.className(E.CatchType));
+        auto CId = classAt(CF.CP, E.CatchType);
         if (!CId)
           return CId.takeError();
         H.CatchClass = *CId;
@@ -262,53 +299,77 @@ private:
 
     Out.Insns = std::move(*Insns);
     Out.Operands.reserve(Out.Insns.size());
-    for (const Insn &I : Out.Insns) {
-      auto Operand = makeOperand(CF, I);
+    for (Insn &I : Out.Insns) {
+      auto Operand = makeOperand(CF.CP, I);
       if (!Operand)
         return Operand.takeError();
+      // invokeinterface's count never travels: the decoder derives it
+      // from the signature, so the record holds the derived count.
+      if (I.Opcode == Op::InvokeInterface)
+        I.InvokeCount = static_cast<uint8_t>(
+            invokeInterfaceCount(M, M.methodRef(Operand->Id).Sig));
       Out.Operands.push_back(*Operand);
     }
     return Error::success();
   }
 
-  Expected<CodeOperand> makeOperand(const ClassFile &CF, const Insn &I) {
+  /// The owner, name and descriptor of the member reference at
+  /// \p Index, whose tag must be one of \p Kinds; the owner is interned.
+  struct MemberParts {
+    uint32_t Owner;
+    std::string_view Name, Desc;
+  };
+  Expected<MemberParts> memberAt(const ConstantPool &CP, uint16_t Index,
+                                 std::initializer_list<CpTag> Kinds) {
+    const CpEntry *E = nullptr;
+    for (CpTag Kind : Kinds)
+      if ((E = CP.find(Index, Kind)))
+        break;
+    if (!E)
+      return corrupt("member opcode on constant pool index " +
+                     std::to_string(Index) + ", not a member reference");
+    const CpEntry *NT = CP.find(E->Ref2, CpTag::NameAndType);
+    if (!NT)
+      return corrupt("member reference " + std::to_string(Index) +
+                     " names no NameAndType entry");
+    auto Owner = CP.checkedClassName(E->Ref1);
+    if (!Owner)
+      return Owner.takeError();
+    auto Name = CP.checkedUtf8(NT->Ref1);
+    if (!Name)
+      return Name.takeError();
+    auto Desc = CP.checkedUtf8(NT->Ref2);
+    if (!Desc)
+      return Desc.takeError();
+    auto OwnerId = M.internClassByInternalName(*Owner);
+    if (!OwnerId)
+      return OwnerId.takeError();
+    return MemberParts{*OwnerId, *Name, *Desc};
+  }
+
+  Expected<CodeOperand> makeOperand(const ConstantPool &CP, const Insn &I) {
     CodeOperand Out;
     switch (cpRefKind(I.Opcode)) {
     case CpRefKind::None:
       return Out;
     case CpRefKind::LoadConst:
     case CpRefKind::LoadConst2: {
-      if (!CF.CP.isValidIndex(I.CpIndex))
-        return Error::failure("pack: dangling ldc operand");
-      const CpEntry &E = CF.CP.entry(I.CpIndex);
-      switch (E.Tag) {
-      case CpTag::Integer:
-        Out.Kind = ConstKind::Int;
-        Out.IntValue = static_cast<int32_t>(E.Bits);
-        return Out;
-      case CpTag::Float:
-        Out.Kind = ConstKind::Float;
-        Out.RawBits = E.Bits;
-        return Out;
-      case CpTag::Long:
-        Out.Kind = ConstKind::Long;
-        Out.RawBits = E.Bits;
-        return Out;
-      case CpTag::Double:
-        Out.Kind = ConstKind::Double;
-        Out.RawBits = E.Bits;
-        return Out;
-      case CpTag::String:
-        Out.Kind = ConstKind::String;
-        Out.Id = M.internStringConst(CF.CP.utf8(E.Ref1));
-        return Out;
-      default:
+      if (!CP.isValidIndex(I.CpIndex))
+        return corrupt("dangling ldc operand");
+      const CpEntry &E = CP.entry(I.CpIndex);
+      auto Value = constantOf(CP, E);
+      if (Value && Value->Kind == ConstKind::None)
         return Error::failure("pack: unsupported ldc constant kind " +
                               std::string(cpTagName(E.Tag)));
-      }
+      // ldc2_w loads exactly the two-slot kinds.
+      bool Wide = cpRefKind(I.Opcode) == CpRefKind::LoadConst2;
+      if (Value && E.isWide() != Wide)
+        return corrupt(std::string(opInfo(I.Opcode).Mnemonic) +
+                       " cannot load constant kind " + cpTagName(E.Tag));
+      return Value;
     }
     case CpRefKind::ClassRef: {
-      auto Id = M.internClassByInternalName(CF.CP.className(I.CpIndex));
+      auto Id = classAt(CP, I.CpIndex);
       if (!Id)
         return Id.takeError();
       Out.Kind = ConstKind::ClassTarget;
@@ -317,21 +378,19 @@ private:
     }
     case CpRefKind::FieldInstance:
     case CpRefKind::FieldStatic: {
-      const CpEntry &E = CF.CP.entry(I.CpIndex);
-      if (E.Tag != CpTag::FieldRef)
-        return Error::failure("pack: field opcode on non-FieldRef");
-      const CpEntry &NT = CF.CP.entry(E.Ref2);
+      auto Parts = memberAt(CP, I.CpIndex, {CpTag::FieldRef});
+      if (!Parts)
+        return Parts.takeError();
       MFieldRef Ref;
-      auto Owner =
-          M.internClassByInternalName(CF.CP.className(E.Ref1));
-      if (!Owner)
-        return Owner.takeError();
-      Ref.Owner = *Owner;
-      Ref.Name = M.internFieldName(CF.CP.utf8(NT.Ref1));
-      auto Type = parseFieldDescriptor(CF.CP.utf8(NT.Ref2));
+      Ref.Owner = Parts->Owner;
+      Ref.Name = M.internFieldName(Parts->Name);
+      auto Type = parseFieldDescriptor(Parts->Desc);
       if (!Type)
         return Type.takeError();
-      Ref.Type = M.internTypeDesc(*Type);
+      auto TypeId = M.internTypeDesc(*Type);
+      if (!TypeId)
+        return TypeId.takeError();
+      Ref.Type = *TypeId;
       Out.Kind = ConstKind::Field;
       Out.Id = M.internFieldRef(Ref);
       return Out;
@@ -340,19 +399,14 @@ private:
     case CpRefKind::MethodSpecial:
     case CpRefKind::MethodStatic:
     case CpRefKind::MethodInterface: {
-      const CpEntry &E = CF.CP.entry(I.CpIndex);
-      if (E.Tag != CpTag::MethodRef &&
-          E.Tag != CpTag::InterfaceMethodRef)
-        return Error::failure("pack: invoke opcode on non-method entry");
-      const CpEntry &NT = CF.CP.entry(E.Ref2);
+      auto Parts = memberAt(CP, I.CpIndex,
+                            {CpTag::MethodRef, CpTag::InterfaceMethodRef});
+      if (!Parts)
+        return Parts.takeError();
       MMethodRef Ref;
-      auto Owner =
-          M.internClassByInternalName(CF.CP.className(E.Ref1));
-      if (!Owner)
-        return Owner.takeError();
-      Ref.Owner = *Owner;
-      Ref.Name = M.internMethodName(CF.CP.utf8(NT.Ref1));
-      auto Sig = M.internSignature(CF.CP.utf8(NT.Ref2));
+      Ref.Owner = Parts->Owner;
+      Ref.Name = M.internMethodName(Parts->Name);
+      auto Sig = M.internSignature(Parts->Desc);
       if (!Sig)
         return Sig.takeError();
       Ref.Sig = std::move(*Sig);
@@ -627,26 +681,6 @@ size_t cjpack::autoShardCount(size_t ClassCount) {
 Expected<PackResult>
 cjpack::packClasses(const std::vector<ClassFile> &Classes,
                     const PackOptions &Options) {
-  // Validate attribute sets up front.
-  for (const ClassFile &CF : Classes) {
-    auto Check = [&](const std::vector<AttributeInfo> &Attrs) -> Error {
-      for (const AttributeInfo &A : Attrs)
-        if (!isRecognizedAttribute(A.Name))
-          return makeError("pack: unrecognized attribute '" +
-                           std::string(A.Name) +
-                           "' (run prepareForPacking first)");
-      return Error::success();
-    };
-    if (auto E = Check(CF.Attributes))
-      return E;
-    for (const MemberInfo &F : CF.Fields)
-      if (auto E = Check(F.Attributes))
-        return E;
-    for (const MemberInfo &Mth : CF.Methods)
-      if (auto E = Check(Mth.Attributes))
-        return E;
-  }
-
   std::vector<const ClassFile *> Ordered;
   if (Options.OrderForEagerLoading) {
     for (size_t I : eagerLoadOrder(Classes))
@@ -671,13 +705,19 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
   // The random-access index addresses classes by internal name, so a
   // v3 archive cannot hold two classes with the same name. (v1/v2
   // archives can — they are positional — so this is checked only here.)
+  std::vector<std::string_view> IndexNames;
   if (Options.RandomAccessIndex) {
-    std::set<std::string, std::less<>> Names;
-    for (const ClassFile *CF : Ordered)
-      if (!Names.emplace(CF->thisClassName()).second)
+    std::set<std::string_view> Seen;
+    for (const ClassFile *CF : Ordered) {
+      auto Name = CF->CP.checkedClassName(CF->ThisClass);
+      if (!Name)
+        return Name.takeError();
+      if (!Seen.insert(*Name).second)
         return Error::failure("pack: duplicate class name '" +
-                              std::string(CF->thisClassName()) +
+                              std::string(*Name) +
                               "' not representable in an indexed archive");
+      IndexNames.push_back(*Name);
+    }
   }
 
   std::vector<std::vector<const ClassFile *>> Slices(ShardCount);
@@ -801,11 +841,12 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
         ShardStreams, Options.backendPlan(), &Result.Sizes, &Pool);
     ArchiveIndex Index;
     uint64_t Offset = 0;
+    auto Name = IndexNames.begin(); // the slices tile Ordered in order
     for (size_t K = 0; K < ShardCount; ++K) {
       Index.Shards.push_back({Offset, Blobs[K].size()});
       Offset += Blobs[K].size();
       for (size_t I = 0; I < Slices[K].size(); ++I)
-        Index.Classes.push_back({std::string(Slices[K][I]->thisClassName()),
+        Index.Classes.push_back({std::string(*Name++),
                                  static_cast<uint32_t>(K),
                                  static_cast<uint32_t>(I)});
     }
@@ -844,23 +885,25 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
 
 namespace {
 
-/// Parses and prepares each of \p Classes into the same slot of
-/// \p Parsed, on the calling thread and up to \p Threads - 1 pool
-/// workers (0 = one per hardware thread); one thread runs inline and
-/// creates no pool. Classes parse independently; the error returned is
-/// the first failing class's in input order, whatever the thread count.
+/// Parses each of \p Classes into the same slot of \p Parsed, and
+/// prepares it when \p Prepare, on the calling thread and up to
+/// \p Threads - 1 pool workers (0 = one per hardware thread); one thread
+/// runs inline and creates no pool. Classes parse independently; the
+/// error returned is the first failing class's in input order, whatever
+/// the thread count.
 Error parseForPacking(const std::vector<NamedClass> &Classes,
-                      std::vector<ClassFile> &Parsed, unsigned Threads) {
+                      std::vector<ClassFile> &Parsed, unsigned Threads,
+                      bool Prepare) {
   std::vector<Error> Failed(Classes.size());
   std::atomic<size_t> Next{0};
-  auto Drain = [&Classes, &Parsed, &Failed, &Next] {
+  auto Drain = [&Classes, &Parsed, &Failed, &Next, Prepare] {
     for (size_t I; (I = Next.fetch_add(1)) < Classes.size();) {
       const NamedClass &C = Classes[I];
       auto CF = parseClassFile(C.Data);
       if (!CF)
-        Failed[I] = Error::failure(C.Name + ": " + CF.message());
-      else if (auto E = prepareForPacking(*CF))
-        Failed[I] = Error::failure(C.Name + ": " + E.message());
+        Failed[I] = Error::failure(CF.code(), C.Name + ": " + CF.message());
+      else if (Error E = Prepare ? prepareForPacking(*CF) : Error())
+        Failed[I] = Error::failure(E.code(), C.Name + ": " + E.message());
       else
         Parsed[I] = std::move(*CF);
     }
@@ -928,19 +971,23 @@ Error verifyStrippedArchive(const std::vector<ClassFile> &Stripped,
 Expected<PackResult>
 cjpack::packClassBytes(const std::vector<NamedClass> &Classes,
                        const PackOptions &Options) {
+  // A plain pack lowers each parse as it is. StripUnreferenced analyses,
+  // strips and gates prepared classes, and prepares them again after
+  // the strip so the members' pool entries leave too.
   Stopwatch ParseTimer;
   std::vector<ClassFile> Parsed(Classes.size());
-  if (auto E = parseForPacking(Classes, Parsed, Options.Threads))
+  if (auto E = parseForPacking(Classes, Parsed, Options.Threads,
+                               Options.StripUnreferenced))
     return E;
   analysis::StripStats Strip;
   size_t BaselineDiags = 0;
   if (Options.StripUnreferenced) {
     for (const ClassFile &CF : Parsed)
       BaselineDiags += analysis::verifyClass(CF).Diags.size();
-    auto Stats = analysis::stripUnreferencedMembers(Parsed);
-    if (!Stats)
-      return Error::failure("strip-unreferenced: " + Stats.message());
-    Strip = *Stats;
+    Strip = analysis::stripUnreferencedMembers(Parsed);
+    for (ClassFile &CF : Parsed)
+      if (auto E = prepareForPacking(CF))
+        return E;
   }
   double ParseSec = ParseTimer.seconds();
   auto Result = packClasses(Parsed, Options);
@@ -954,4 +1001,16 @@ cjpack::packClassBytes(const std::vector<NamedClass> &Classes,
   if (Result)
     Result->Trace.Phases.ParseSec = ParseSec;
   return Result;
+}
+
+Error cjpack::prepareForPacking(ClassFile &CF) {
+  Model M;
+  auto Rec = Lowerer(M).lowerClass(CF);
+  if (!Rec)
+    return Rec.takeError();
+  auto Canonical = materializeClass(M, *Rec);
+  if (!Canonical)
+    return Canonical.takeError();
+  CF = std::move(*Canonical);
+  return Error::success();
 }

@@ -5,18 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Turns a decoded wire record (Transcode.h) plus the model it indexes
-/// into a standard ClassFile in one pass. Every entry the record
-/// references goes into a CanonicalPoolBuilder, which places ldc
-/// constants below index 256 (§9) and fixes the canonical order (§12),
-/// the same order canonicalizeConstantPool gives a packed class; the
-/// members, attributes and code are then written once with the final
-/// indices, so decompression is deterministic and nothing is re-parsed.
-/// Records the wire cannot produce from a valid class (a branch outside
-/// its code, a wide prefix on a non-local opcode, too many ldc
-/// constants) are Corrupt, an oversized pool LimitExceeded. Shared by
-/// the eager archive decoder (Decoder.cpp) and the lazy random-access
-/// reader (ArchiveReader.h), so both produce identical classfiles.
+/// Turns a wire record (Transcode.h) plus the model it indexes into a
+/// standard ClassFile in one pass. Every entry the record references
+/// goes into a CanonicalPoolBuilder, which places ldc constants below
+/// index 256 (§9) and fixes the canonical order (§12); the members,
+/// attributes and code are then written once with the final indices, so
+/// decompression is deterministic and nothing is re-parsed. This is the
+/// one definition of the canonical form: the eager archive decoder
+/// (Decoder.cpp), the lazy random-access reader (ArchiveReader.h) and
+/// prepareForPacking (Packer.h), which materializes a freshly lowered
+/// record, all produce classfiles here. Records no valid class lowers to
+/// (a branch outside its code, a wide prefix on a non-local opcode, too
+/// many ldc constants) are Corrupt, an oversized pool LimitExceeded.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -68,25 +68,48 @@ Model::internClassByInternalName(std::string_view Name) {
       return T.takeError();
     return internTypeDesc(*T);
   }
-  MClassRef Ref;
-  std::string Package, Simple;
-  splitClassName(Name, Package, Simple);
-  Ref.Package = internPackage(Package);
-  Ref.Simple = internSimpleName(Simple);
-  return internClassRef(Ref);
+  return internClass(0, 'L', Name);
 }
 
-uint32_t Model::internTypeDesc(const TypeDesc &T) {
+Expected<uint32_t> Model::internTypeDesc(const TypeDesc &T) {
+  return internClass(T.Dims, T.Base, T.ClassName);
+}
+
+Expected<uint32_t> Model::internClass(uint8_t Dims, char Base,
+                                      std::string_view Name) {
   MClassRef Ref;
-  Ref.Dims = T.Dims;
-  Ref.Base = T.Base;
-  if (T.Base == 'L') {
-    std::string Package, Simple;
-    splitClassName(T.ClassName, Package, Simple);
+  Ref.Dims = Dims;
+  Ref.Base = Base;
+  std::string Package, Simple;
+  if (Base == 'L')
+    splitClassName(Name, Package, Simple);
+  if (!isWellFormedClassRef(Dims, Base, Package, Simple))
+    return makeError(ErrorCode::Corrupt,
+                     "pack: malformed class name '" + std::string(Name) +
+                         "'");
+  if (Base == 'L') {
     Ref.Package = internPackage(Package);
     Ref.Simple = internSimpleName(Simple);
   }
   return internClassRef(Ref);
+}
+
+bool cjpack::isWellFormedClassRef(uint8_t Dims, char Base,
+                                  std::string_view Package,
+                                  std::string_view Simple) {
+  switch (Base) {
+  case 'B': case 'C': case 'D': case 'F': case 'I': case 'J': case 'S':
+  case 'Z':
+    return true;
+  case 'V':
+    return Dims == 0;
+  case 'L':
+    return !(Package.empty() && Simple.empty()) &&
+           Package.find(';') == std::string_view::npos &&
+           Simple.find(';') == std::string_view::npos;
+  default:
+    return false;
+  }
 }
 
 Expected<std::vector<uint32_t>>
@@ -96,9 +119,16 @@ Model::internSignature(std::string_view Desc) {
     return M.takeError();
   std::vector<uint32_t> Sig;
   Sig.reserve(M->Params.size() + 1);
-  Sig.push_back(internTypeDesc(M->Ret));
-  for (const TypeDesc &P : M->Params)
-    Sig.push_back(internTypeDesc(P));
+  auto Ret = internTypeDesc(M->Ret);
+  if (!Ret)
+    return Ret.takeError();
+  Sig.push_back(*Ret);
+  for (const TypeDesc &P : M->Params) {
+    auto Param = internTypeDesc(P);
+    if (!Param)
+      return Param.takeError();
+    Sig.push_back(*Param);
+  }
   return Sig;
 }
 

@@ -130,7 +130,7 @@ public:
   Expected<uint32_t> internClassByInternalName(std::string_view Name);
 
   /// Interns the class reference for a field/parameter type.
-  uint32_t internTypeDesc(const TypeDesc &T);
+  Expected<uint32_t> internTypeDesc(const TypeDesc &T);
 
   /// Interns a method descriptor as [return, args...] class refs.
   Expected<std::vector<uint32_t>> internSignature(std::string_view Desc);
@@ -192,6 +192,12 @@ public:
   VType classRefVType(uint32_t Id) const;
 
 private:
+  /// Interns \p Dims dimensions over \p Base (class \p Name for 'L');
+  /// Corrupt unless isWellFormedClassRef, so every class ref the encoder
+  /// defines is one the decoder accepts.
+  Expected<uint32_t> internClass(uint8_t Dims, char Base,
+                                 std::string_view Name);
+
   std::vector<std::string> Packages, Simples, FieldNames, MethodNames,
       Strings;
   std::vector<MClassRef> ClassRefs;
@@ -204,6 +210,14 @@ private:
   std::map<MFieldRef, uint32_t> FieldRefIds;
   std::map<MMethodRef, uint32_t> MethodRefIds;
 };
+
+/// Whether a class ref of \p Dims dimensions over \p Base (named
+/// \p Package / \p Simple when Base is 'L') spells a classfile type: a
+/// descriptor letter, no dimensions over void, and a class name that is
+/// nonempty and holds no ';'. The decoder refuses any other definition,
+/// and the encoder never interns one.
+bool isWellFormedClassRef(uint8_t Dims, char Base, std::string_view Package,
+                          std::string_view Simple);
 
 /// Splits an internal class name into package and simple name ("" for
 /// the default package).

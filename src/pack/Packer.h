@@ -18,8 +18,12 @@
 ///
 /// unpackClasses/unpackArchive are the one decode entry point: they take
 /// every format version. Unpacking is deterministic: the same archive
-/// always reproduces the identical classfiles (§12), which are the
-/// prepareForPacking-canonical form of the inputs.
+/// always reproduces the identical classfiles (§12). Those are the
+/// canonical form of the inputs, which prepareForPacking computes for one
+/// class with the same two steps as a pack/unpack round trip: lower to
+/// the wire record, then materialize. So unpack(pack(X)) equals
+/// prepareForPacking(X) by construction, and a restored class is its own
+/// prepared form.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,18 +85,19 @@ struct PackOptions {
   /// reproduce across machines.
   unsigned Shards = 1;
   /// Worker threads for the parallel stages (0 = one per hardware
-  /// thread): per-class parse and prepare in packClassBytes, the
-  /// per-shard codec passes, and per-stream compression. Capped at the
-  /// widest stage's task count. Has no effect on the bytes.
+  /// thread): per-class parse in packClassBytes, the per-shard codec
+  /// passes, and per-stream compression. Capped at the widest stage's
+  /// task count. Has no effect on the bytes.
   unsigned Threads = 0;
-  /// Drop private members (and, via re-canonicalization, their
-  /// constant-pool entries) that no reference anywhere in the archive
+  /// Drop private members that no reference anywhere in the archive
   /// resolves to, before encoding (analysis/ArchiveAnalysis.h). The
-  /// output is gated: the packed archive is unpacked again and every
-  /// restored class must be byte-identical to its stripped input and
-  /// introduce no new verifier diagnostics, or packing fails with a
-  /// typed error. Off by default — stripped archives are smaller but no
-  /// longer restore the dead members.
+  /// classes are prepared before the analysis and again after it, so
+  /// the members' constant-pool entries go too. The output is gated:
+  /// the packed archive is unpacked again and every restored class must
+  /// be byte-identical to its stripped, prepared input and introduce no
+  /// new verifier diagnostics, or packing fails with a typed error. Off
+  /// by default — stripped archives are smaller but no longer restore
+  /// the dead members.
   bool StripUnreferenced = false;
   /// Write the version-3 random-access layout: a per-class index after
   /// the header, and each shard's streams serialized as an independent
@@ -157,17 +162,30 @@ size_t autoShardCount(size_t ClassCount);
 /// Target classes per shard for autoShardCount.
 inline constexpr size_t AutoShardClassesPerShard = 256;
 
-/// Packs already-parsed classfiles. Inputs must have been run through
-/// prepareForPacking (unrecognized attributes are a hard error).
+/// Packs parsed classfiles, raw or prepared alike: the wire carries
+/// only what the format keeps (debug and unknown attributes, pool order
+/// and duplicate entries never reach it), so both pack to the same
+/// archive. Every constant-pool index a class's structure or code
+/// follows is checked for range and kind; a bad one is Corrupt.
 Expected<PackResult> packClasses(const std::vector<ClassFile> &Classes,
                                  const PackOptions &Options);
 
-/// Parses, prepares (strip + canonicalize), and packs raw classfiles.
-/// Classes parse and prepare concurrently on Options.Threads workers; a
-/// class that fails is reported as "<name>: <error>", the first such
-/// class in input order whatever the thread count.
+/// Parses and packs raw classfiles. Classes parse concurrently on
+/// Options.Threads workers; a class that fails is reported as
+/// "<name>: <error>", the first such class in input order whatever the
+/// thread count.
 Expected<PackResult> packClassBytes(const std::vector<NamedClass> &Classes,
                                     const PackOptions &Options);
+
+/// Replaces \p CF with its canonical form, the classfile unpacking its
+/// archive restores: lowered to the wire record in a fresh Model, then
+/// materialized (pack/Materialize.h). It keeps what the format carries
+/// (§2): debug and unknown attributes go; the pool holds each entry the
+/// class references once, in the §9/§12 order of CanonicalPoolBuilder;
+/// each member's attributes are written in one fixed order. Fails as
+/// packing \p CF would (a bad index is Corrupt) or as the materializer
+/// does. Restored classes come back unchanged.
+Error prepareForPacking(ClassFile &CF);
 
 /// Knobs for unpacking. The limits bound what a hostile archive can
 /// make the decoder allocate or compute; the defaults accommodate any

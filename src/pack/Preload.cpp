@@ -90,7 +90,7 @@ bool preloadInto(Model &M, RefScheme Scheme, PreloadFn &&Preload) {
   for (char Prim : {'V', 'I', 'J', 'F', 'D', 'Z', 'B', 'C', 'S'}) {
     TypeDesc T;
     T.Base = Prim;
-    Preload(poolId(PoolKind::ClassRefPool), M.internTypeDesc(T));
+    Preload(poolId(PoolKind::ClassRefPool), *M.internTypeDesc(T));
   }
   for (const char *Name : StandardMethodNames)
     Preload(poolId(PoolKind::MethodName), M.internMethodName(Name));
@@ -118,7 +118,7 @@ bool preloadInto(Model &M, RefScheme Scheme, PreloadFn &&Preload) {
     TypeDesc T;
     T.Base = 'L';
     T.ClassName = "java/io/PrintStream";
-    Ref.Type = M.internTypeDesc(T);
+    Ref.Type = *M.internTypeDesc(T);
     Preload(poolId(effectivePool(PoolKind::FieldStatic, Scheme)),
             M.internFieldRef(Ref));
   }

@@ -402,13 +402,35 @@ private:
 
   /// A class reference's definition body: dimensions and base in Counts,
   /// then (for 'L' bases) the package and simple-name references.
+  /// Decode refuses a definition no classfile type spells.
   void classDefBody(MClassRef &R) {
-    R.Dims = static_cast<uint8_t>(xVarU(StreamId::Counts, R.Dims));
+    uint64_t Dims = xVarU(StreamId::Counts, R.Dims);
+    R.Dims = static_cast<uint8_t>(Dims);
     R.Base = static_cast<char>(
         xU1(StreamId::Counts, static_cast<uint8_t>(R.Base)));
     if (R.Base == 'L') {
       R.Package = xPackage(R.Package);
       R.Simple = xSimpleName(R.Simple);
+    }
+    if constexpr (!Ctx::IsEncode) {
+      std::string_view Package, Simple;
+      if (R.Base == 'L') {
+        Package = C.M.package(R.Package);
+        Simple = C.M.simpleName(R.Simple);
+      }
+      if (Dims > 0xFF ||
+          !isWellFormedClassRef(R.Dims, R.Base, Package, Simple))
+        C.fail(ErrorCode::Corrupt, "unpack: malformed class-ref definition");
+    }
+  }
+
+  /// Decode side: a field or parameter type must not be void.
+  void requireValueType(uint32_t Id) {
+    if constexpr (!Ctx::IsEncode) {
+      if (C.M.classRef(Id).Base == 'V')
+        C.fail(ErrorCode::Corrupt, "unpack: void field or parameter type");
+    } else {
+      (void)Id;
     }
   }
 
@@ -445,6 +467,7 @@ private:
     R.Owner = xClass(R.Owner);
     R.Name = xFieldName(R.Name);
     R.Type = xClass(R.Type);
+    requireValueType(R.Type);
   }
 
   uint32_t xFieldRef(PoolKind Pool, uint32_t EncId) {
@@ -498,8 +521,11 @@ private:
       if (SigLen > 257)
         SigLen = 257;
       R.Sig.reserve(SigLen);
-      for (size_t K = 0; K < SigLen; ++K)
+      for (size_t K = 0; K < SigLen; ++K) {
         R.Sig.push_back(xClass(0));
+        if (K > 0)
+          requireValueType(R.Sig.back());
+      }
       if (R.Sig.empty()) {
         MClassRef Void;
         Void.Base = 'V';

@@ -25,10 +25,11 @@
 namespace cjpack {
 
 /// Wall-clock seconds spent in each pipeline phase of one pack run.
-/// Parse covers classfile parsing + prepareForPacking (only populated by
-/// packClassBytes); Model covers the counting passes, dictionary build,
-/// and id remapping; Emit covers the emitting passes; Deflate covers
-/// stream serialization and compression. Every phase but the dictionary
+/// Parse covers classfile parsing, plus prepareForPacking and the strip
+/// under StripUnreferenced (only populated by packClassBytes); Model
+/// covers the counting passes, dictionary build, and id remapping; Emit
+/// covers the emitting passes; Deflate covers stream serialization and
+/// compression. Every phase but the dictionary
 /// build runs on the worker pool (classes parse, shards encode and
 /// streams compress concurrently), so each is the wall time of a
 /// parallel stage, not the CPU time it used.

@@ -14,7 +14,6 @@
 
 #include "pack/ClassOrder.h"
 #include "pack/Packer.h"
-#include "classfile/Transform.h"
 #include "corpus/Corpus.h"
 #include <algorithm>
 #include <gtest/gtest.h>

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "bytecode/Instruction.h"
 #include "corpus/Corpus.h"
 #include "pack/ClassOrder.h"
+#include "pack/Packer.h"
 #include <algorithm>
 #include <gtest/gtest.h>
 #include <set>

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Instruction.h"
-#include "classfile/Transform.h"
 #include "corpus/Corpus.h"
 #include "corpus/Rng.h"
 #include "pack/CustomOpcodes.h"
+#include "pack/Packer.h"
 #include <gtest/gtest.h>
 
 using namespace cjpack;

@@ -13,7 +13,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "classfile/Transform.h"
 #include "corpus/Corpus.h"
 #include "pack/Dictionary.h"
 #include "pack/Packer.h"

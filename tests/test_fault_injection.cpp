@@ -20,7 +20,8 @@
 // Every variant must decode cleanly: either classes that re-parse,
 // decode and are already canonical, or a typed Error from the decode
 // taxonomy (Truncated / Corrupt / LimitExceeded) — never a crash,
-// sanitizer report, unbounded allocation, or hang. The
+// sanitizer report, unbounded allocation, or hang. Hostile classfiles
+// are packed too, and must restore to their canonical form. The
 // whole driver is deterministic (fixed seeds, xorshift RNG), so a
 // failure reproduces exactly. It runs under the ASan+UBSan CI matrix.
 //
@@ -29,7 +30,6 @@
 #include "bytecode/Instruction.h"
 #include "classfile/ClassFile.h"
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "pack/ArchiveIndex.h"
@@ -112,9 +112,10 @@ std::vector<uint8_t> packedArchive(unsigned Shards, RefScheme Scheme,
 
 /// What a successful decode must return, however hostile its input:
 /// every class re-parses from its written bytes under the test limits,
-/// every Code attribute decodes, and canonicalizeConstantPool gives the
-/// class back unchanged. The materializer writes each class once and
-/// never reads it back, so this is checked here.
+/// every Code attribute decodes, and prepareForPacking gives the class
+/// back unchanged (a restored class is its own canonical form). The
+/// materializer writes each class once and never reads it back, so this
+/// is checked here.
 void expectValidCanonical(const std::vector<ClassFile> &Classes,
                           const char *What, size_t Detail) {
   for (size_t I = 0; I < Classes.size(); ++I) {
@@ -136,8 +137,10 @@ void expectValidCanonical(const std::vector<ClassFile> &Classes,
           << What << " at " << Detail << ": class " << I
           << " has undecodable code: " << Insns.message();
     }
-    ASSERT_FALSE(static_cast<bool>(canonicalizeConstantPool(*CF)))
-        << What << " at " << Detail << ": class " << I;
+    Error E = prepareForPacking(*CF);
+    ASSERT_FALSE(static_cast<bool>(E))
+        << What << " at " << Detail << ": class " << I << ": "
+        << E.message();
     EXPECT_EQ(writeClassFile(*CF), Bytes)
         << What << " at " << Detail << ": class " << I
         << " is not in canonical form";
@@ -227,6 +230,10 @@ void expectCleanReader(const std::vector<uint8_t> &Bytes, const char *What,
   expectValidCanonical(*All, What, Detail);
 }
 
+/// A hostile classfile must parse, or fail inside the taxonomy. One that
+/// parses is also packed (one class, one thread): packing may refuse
+/// it, but an archive it writes restores exactly prepareForPacking of
+/// the class, or fails to restore exactly when prepareForPacking fails.
 void expectCleanClassfile(const std::vector<uint8_t> &Bytes,
                           const char *What, size_t Detail) {
   auto CF = parseClassFile(Bytes, testLimits());
@@ -251,6 +258,23 @@ void expectCleanClassfile(const std::vector<uint8_t> &Bytes,
               << What << " at " << Detail << ": " << Insns.message();
         }
       }
+
+  PackOptions Options;
+  Options.Threads = 1;
+  auto Packed = packClasses({*CF}, Options);
+  if (!Packed)
+    return;
+  Error Prepared = prepareForPacking(*CF);
+  auto Restored = unpackClasses(Packed->Archive, testOptions());
+  ASSERT_EQ(static_cast<bool>(Restored), !Prepared)
+      << What << " at " << Detail << ": "
+      << (Prepared ? Prepared.message() : Restored.message());
+  if (!Restored)
+    return;
+  ASSERT_EQ(Restored->size(), 1u) << What << " at " << Detail;
+  EXPECT_EQ(writeClassFile((*Restored)[0]), writeClassFile(*CF))
+      << What << " at " << Detail
+      << ": the restored class is not the prepared one";
 }
 
 void expectCleanZip(const std::vector<uint8_t> &Bytes, const char *What,
@@ -545,6 +569,45 @@ TEST(FaultInjection, ClassfileTruncationAndMutation) {
   truncateEverywhere(Bytes, expectCleanClassfile);
   flipEverywhere(Bytes, expectCleanClassfile);
   mutateRandomly(Bytes, expectCleanClassfile, /*Seed=*/5, /*Rounds=*/2500);
+}
+
+// A class-ref definition no classfile type spells is Corrupt. Raw
+// archives of one class with a native method m(Z)V and of the same class
+// with m(B)V differ only in that parameter's base letter; writing 'V'
+// there asks for m(V)V, and 'Q' for a type with no descriptor letter.
+TEST(FaultInjection, MalformedClassRefDefinitionsAreCorrupt) {
+  auto RawArchive = [](const char *Desc) {
+    ClassFile CF;
+    CF.ThisClass = CF.CP.addClass("p/A");
+    CF.SuperClass = CF.CP.addClass("java/lang/Object");
+    MemberInfo M;
+    M.AccessFlags = AccPublic | AccStatic | AccNative;
+    M.NameIndex = CF.CP.addUtf8("m");
+    M.DescriptorIndex = CF.CP.addUtf8(Desc);
+    CF.Methods.push_back(M);
+    PackOptions Options;
+    Options.CompressStreams = false;
+    auto Packed = packClasses({CF}, Options);
+    EXPECT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+    return Packed ? Packed->Archive : std::vector<uint8_t>();
+  };
+  std::vector<uint8_t> Z = RawArchive("(Z)V"), B = RawArchive("(B)V");
+  ASSERT_EQ(Z.size(), B.size());
+  std::vector<size_t> Diff;
+  for (size_t I = 0; I < Z.size(); ++I)
+    if (Z[I] != B[I])
+      Diff.push_back(I);
+  ASSERT_EQ(Diff.size(), 1u);
+  ASSERT_EQ(Z[Diff[0]], 'Z');
+  ASSERT_TRUE(static_cast<bool>(unpackClasses(Z, testOptions())));
+  for (char Base : {'V', 'Q'}) {
+    std::vector<uint8_t> Bad = Z;
+    Bad[Diff[0]] = static_cast<uint8_t>(Base);
+    auto Classes = unpackClasses(Bad, testOptions());
+    ASSERT_FALSE(static_cast<bool>(Classes))
+        << "base '" << Base << "' restored a class";
+    EXPECT_EQ(Classes.code(), ErrorCode::Corrupt) << Classes.message();
+  }
 }
 
 // The zip central-directory reader and the gzip frame reader.

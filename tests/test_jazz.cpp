@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "jazz/Jazz.h"
+#include "pack/Packer.h"
 #include "zip/Jar.h"
 #include <gtest/gtest.h>
 #include <map>

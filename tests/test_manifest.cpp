@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "classfile/Transform.h"
 #include "corpus/Corpus.h"
 #include "pack/Packer.h"
 #include "support/Sha1.h"

@@ -64,7 +64,7 @@ TEST(Model, ArrayAndPrimitiveClassRefs) {
 
   TypeDesc T;
   T.Base = 'J';
-  uint32_t LongRef = M.internTypeDesc(T);
+  uint32_t LongRef = *M.internTypeDesc(T);
   EXPECT_EQ(M.classRefVType(LongRef), VType::Long);
   EXPECT_EQ(printTypeDesc(M.classRefTypeDesc(LongRef)), "J");
 }
@@ -113,7 +113,7 @@ TEST(Model, MemberRefInterning) {
   F2.Name = M.internFieldName("x");
   TypeDesc T;
   T.Base = 'I';
-  F1.Type = F2.Type = M.internTypeDesc(T);
+  F1.Type = F2.Type = *M.internTypeDesc(T);
   EXPECT_EQ(M.internFieldRef(F1), M.internFieldRef(F2));
 
   MMethodRef M1;

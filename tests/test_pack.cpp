@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The central invariant (§12): decompression is deterministic and
-// reproduces the prepared (stripped + canonicalized) classfiles exactly,
-// byte for byte.
+// reproduces the prepared (canonical) classfiles exactly, byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Instruction.h"
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "jazz/Jazz.h"
@@ -150,7 +148,7 @@ TEST(PackRoundTrip, ManyLdcConstantsRestore) {
   for (int K = 0; K < 60; ++K)
     CF.CP.entry(Strings[K]).Ref1 = CF.CP.addUtf8("s" + std::to_string(K));
   Loaded.insert(Loaded.end(), Strings.begin(), Strings.end());
-  CF.CP.rebuildIndex();
+  CF.CP.invalidateIndex();
   CF.ThisClass = CF.CP.addClass("pkg/Constants");
   CF.SuperClass = CF.CP.addClass("java/lang/Object");
 
@@ -228,6 +226,18 @@ TEST(PackFromBytes, ParsesPreparesAndPacks) {
   }
 }
 
+// A class that does not parse fails the pack with its parse error's
+// code, named for the class.
+TEST(PackFromBytes, KeepsTheParseErrorCode) {
+  std::vector<NamedClass> Raw = generateCorpus(testSpec(1401));
+  Raw[1].Data.resize(Raw[1].Data.size() / 2);
+  auto Packed = packClassBytes(Raw, PackOptions());
+  ASSERT_FALSE(static_cast<bool>(Packed));
+  EXPECT_EQ(Packed.message().rfind(Raw[1].Name + ": ", 0), 0u)
+      << Packed.message();
+  EXPECT_NE(Packed.code(), ErrorCode::Other) << Packed.message();
+}
+
 TEST(PackCompression, BeatsJarAndJ0rGz) {
   // The headline claim: packed < j0r.gz < jar on realistic corpora.
   std::vector<NamedClass> Raw =
@@ -288,13 +298,95 @@ TEST(PackErrors, RejectsCorruptArchive) {
   EXPECT_FALSE(static_cast<bool>(unpackArchive(Short)));
 }
 
-TEST(PackErrors, RejectsUnpreparedClasses) {
-  std::vector<ClassFile> Classes =
-      generateCorpusClasses(testSpec(1800, CodeStyle::Balanced, 3));
-  static constexpr uint8_t SourceFileBytes[] = {0, 0};
-  Classes[0].Attributes.push_back({"SourceFile", SourceFileBytes});
-  auto Packed = packClasses(Classes, PackOptions());
-  EXPECT_FALSE(static_cast<bool>(Packed));
+// ldc and ldc_w load one-slot constants, ldc2_w two-slot ones. Any
+// other pairing is Corrupt where the operand is read; packed, it would
+// desynchronize the decoder from the encoder.
+TEST(PackErrors, LdcMustMatchItsConstantWidth) {
+  for (auto [Opcode, Wide] :
+       {std::pair{Op::Ldc, true}, std::pair{Op::LdcW, true},
+        std::pair{Op::Ldc2W, false}}) {
+    ClassFile CF;
+    uint16_t Constant =
+        Wide ? CF.CP.addLong(1234567890123) : CF.CP.addInteger(70000);
+    CF.ThisClass = CF.CP.addClass("pkg/Load");
+    CF.SuperClass = CF.CP.addClass("java/lang/Object");
+    ByteWriter W;
+    W.writeU1(static_cast<uint8_t>(Opcode));
+    if (Opcode == Op::Ldc)
+      W.writeU1(static_cast<uint8_t>(Constant));
+    else
+      W.writeU2(Constant);
+    W.writeU1(static_cast<uint8_t>(Wide ? Op::Pop2 : Op::Pop));
+    W.writeU1(static_cast<uint8_t>(Op::Return));
+    CodeAttribute Code;
+    Code.MaxStack = 2;
+    Code.Code = CF.arena().copy(W.data());
+    MemberInfo Load;
+    Load.AccessFlags = AccPublic | AccStatic;
+    Load.NameIndex = CF.CP.addUtf8("load");
+    Load.DescriptorIndex = CF.CP.addUtf8("()V");
+    Load.Attributes.push_back(encodeCodeAttribute(Code, CF.CP));
+    CF.Methods.push_back(std::move(Load));
+
+    auto Packed = packClasses({CF}, PackOptions());
+    ASSERT_FALSE(static_cast<bool>(Packed)) << opInfo(Opcode).Mnemonic;
+    EXPECT_EQ(Packed.code(), ErrorCode::Corrupt) << Packed.message();
+    Error E = prepareForPacking(CF);
+    ASSERT_TRUE(static_cast<bool>(E)) << opInfo(Opcode).Mnemonic;
+    EXPECT_EQ(E.code(), ErrorCode::Corrupt) << E.message();
+  }
+}
+
+// The wire carries only what the format keeps, so raw parsed classes
+// (debug and unknown attributes, pool order and all) pack to the same
+// archive as their prepared forms.
+TEST(PackRoundTrip, RawAndPreparedClassesPackAlike) {
+  std::vector<ClassFile> Raw = generateCorpusClasses(testSpec(1800));
+  static constexpr uint8_t MysteryBytes[] = {0, 0};
+  Raw[0].Attributes.push_back({"MysteryAttr", MysteryBytes});
+  std::vector<ClassFile> Prepared = Raw;
+  for (ClassFile &CF : Prepared)
+    ASSERT_FALSE(static_cast<bool>(prepareForPacking(CF)));
+  PackOptions Indexed;
+  Indexed.Shards = 3;
+  Indexed.RandomAccessIndex = true;
+  for (const PackOptions &O : {PackOptions(), Indexed}) {
+    auto FromRaw = packClasses(Raw, O);
+    auto FromPrepared = packClasses(Prepared, O);
+    ASSERT_TRUE(static_cast<bool>(FromRaw)) << FromRaw.message();
+    ASSERT_TRUE(static_cast<bool>(FromPrepared)) << FromPrepared.message();
+    EXPECT_EQ(FromRaw->Archive, FromPrepared->Archive);
+  }
+}
+
+// Shapes on which a pool-only canonicalizer and the materializer once
+// disagreed (a duplicate Utf8, attributes out of the written order, a
+// repeated marker): each restores to its prepared form byte for byte,
+// and a StripUnreferenced pack passes its own restore gate.
+TEST(PackRoundTrip, NonCanonicalShapesRestoreTheirPreparedForm) {
+  CorpusSpec Spec = testSpec(1850, CodeStyle::Balanced, 1);
+  Spec.PctInterfaces = 0;
+  NamedClass Base = generateCorpus(Spec)[0];
+  std::vector<NamedClass> Shapes = nonCanonicalShapes(Base);
+  ASSERT_EQ(Shapes.size(), 4u);
+  for (const NamedClass &Shape : Shapes) {
+    auto CF = parseClassFile(Shape.Data);
+    ASSERT_TRUE(static_cast<bool>(CF)) << Shape.Name << ": " << CF.message();
+    ASSERT_FALSE(static_cast<bool>(prepareForPacking(*CF))) << Shape.Name;
+    std::vector<NamedClass> Input{{Base.Name, Shape.Data}};
+    auto Packed = packClassBytes(Input, PackOptions());
+    ASSERT_TRUE(static_cast<bool>(Packed)) << Shape.Name;
+    auto Restored = unpackClasses(Packed->Archive);
+    ASSERT_TRUE(static_cast<bool>(Restored)) << Shape.Name;
+    ASSERT_EQ(Restored->size(), 1u);
+    EXPECT_EQ(writeClassFile(Restored->front()), writeClassFile(*CF))
+        << Shape.Name;
+    PackOptions Strip;
+    Strip.StripUnreferenced = true;
+    auto Stripped = packClassBytes(Input, Strip);
+    EXPECT_TRUE(static_cast<bool>(Stripped))
+        << Shape.Name << ": " << Stripped.message();
+  }
 }
 
 TEST(PackOrdering, ArchiveIsEagerLoadable) {

@@ -13,7 +13,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "pack/Model.h"

@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "pack/Packer.h"

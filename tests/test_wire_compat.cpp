@@ -31,7 +31,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "classfile/Reader.h"
-#include "classfile/Transform.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "pack/ArchiveReader.h"
