@@ -4,8 +4,8 @@
 //
 // Microbenchmarks of the hot substrates: the indexed-skiplist MTF queue
 // from both sides (the paper's O(log k) move-to-front, §5), the §6
-// integer codecs, the arithmetic coder, and end-to-end pack/unpack on a
-// small corpus.
+// integer codecs, the arithmetic coder, pack's compression stage, and
+// end-to-end pack/unpack on a small corpus.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +13,8 @@
 #include "coder/Arithmetic.h"
 #include "corpus/Rng.h"
 #include "mtf/MtfQueue.h"
+#include "pack/ArchiveFormat.h"
+#include "support/ThreadPool.h"
 #include "support/VarInt.h"
 #include "zip/Zlib.h"
 #include <benchmark/benchmark.h>
@@ -112,6 +114,73 @@ const BenchData &microCorpus() {
 }
 
 } // namespace
+
+namespace {
+
+/// Pack's compression batch for one e2ebench-sized jar: the first 250
+/// classes of scaleBenchmark(2000) at seed 9001, as 4 shards' streams
+/// plus the dictionary frame body that deflates beside them.
+struct JarBatch {
+  std::vector<StreamSet> Shards;
+  std::vector<uint8_t> DictBody;
+  size_t RawBytes = 0;
+};
+
+const JarBatch &jarBatch() {
+  static JarBatch B = [] {
+    CorpusSpec Spec = scaleBenchmark(2000);
+    Spec.Seed = 9001;
+    std::vector<NamedClass> Jar = generateCorpus(Spec);
+    Jar.resize(250);
+    PackOptions O;
+    O.Shards = 4;
+    O.CompressStreams = false;
+    auto P = packClassBytes(Jar, O);
+    // The stored archive reads back into the shards' raw streams.
+    ByteReader R(P->Archive);
+    auto H = readArchiveHeader(R);
+    auto Dict = SharedDictionary::deserialize(R);
+    auto Shards = deserializeShardedStreams(R);
+    if (!H || !Dict || !Shards) {
+      fprintf(stderr, "bench_micro: cannot read the raw jar archive\n");
+      exit(1);
+    }
+    JarBatch Out;
+    Out.DictBody = Dict->frameBody();
+    Out.Shards.resize(Shards->size());
+    for (size_t K = 0; K < Shards->size(); ++K) {
+      for (unsigned I = 0; I < NumStreams; ++I) {
+        ByteReader &In = (*Shards)[K].in(static_cast<StreamId>(I));
+        Out.RawBytes += In.remaining();
+        Out.Shards[K].out(static_cast<StreamId>(I))
+            .writeBytes(In.readSpan(In.remaining()));
+      }
+    }
+    return Out;
+  }();
+  return B;
+}
+
+} // namespace
+
+static void BM_CompressStreams(benchmark::State &State) {
+  // The version-2 compression stage alone: every stream's joint bytes
+  // and the dictionary frame, one batch on a pool of range(0) threads.
+  const JarBatch &B = jarBatch();
+  ThreadPool Pool(static_cast<unsigned>(State.range(0)));
+  for (auto _ : State) {
+    BatchExtra Dict{B.DictBody, &SharedDictionary::deflateFrame, {}};
+    benchmark::DoNotOptimize(serializeShardedStreams(
+        B.Shards, BackendPlan(), nullptr, &Pool, &Dict));
+  }
+  State.SetBytesProcessed(State.iterations() *
+                          static_cast<int64_t>(B.RawBytes));
+}
+BENCHMARK(BM_CompressStreams)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 static void BM_PackArchive(benchmark::State &State) {
   const BenchData &B = microCorpus();

@@ -11,11 +11,13 @@
 // allocate past the declared cap. Whatever it accepts, and the raw tail
 // itself, must then survive a compress→decompress round trip on every
 // backend byte-identically: the differential oracle that keeps the four
-// codecs interchangeable.
+// codecs interchangeable. The input length picks the stream the tail is
+// compressed as, so every per-stream deflate setting gets fuzzed.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pack/Backend.h"
+#include "pack/Streams.h"
 #include <cstdlib>
 
 using namespace cjpack;
@@ -26,9 +28,9 @@ namespace {
 /// enough that real seed payloads decode fully.
 constexpr size_t FuzzRawCap = 1 << 16;
 
-void roundTripOrDie(const CompressionBackend &B,
+void roundTripOrDie(const CompressionBackend &B, StreamId Stream,
                     const std::vector<uint8_t> &Raw) {
-  std::vector<uint8_t> Stored = B.Compress(Raw);
+  std::vector<uint8_t> Stored = B.Compress(Raw, Stream);
   auto Back = B.Decompress(Stored, Raw.size());
   if (!Back || *Back != Raw)
     abort(); // a backend that cannot read its own output is a bug
@@ -43,6 +45,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   std::vector<uint8_t> Tail(Data + 1, Data + Size);
   if (Tail.size() > FuzzRawCap)
     Tail.resize(FuzzRawCap);
+  StreamId Stream = static_cast<StreamId>(Size % NumStreams);
 
   if (const CompressionBackend *B = findBackend(Data[0])) {
     auto Raw = B->Decompress(Tail, FuzzRawCap);
@@ -50,13 +53,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
       if (Raw->size() > FuzzRawCap)
         abort(); // decompressor ignored the declared cap
       // Anything a backend decodes must re-encode losslessly.
-      roundTripOrDie(*B, *Raw);
+      roundTripOrDie(*B, Stream, *Raw);
     } else if (Raw.code() == ErrorCode::Other) {
       abort(); // decode failure escaped the taxonomy
     }
   }
 
   for (const CompressionBackend &B : allBackends())
-    roundTripOrDie(B, Tail);
+    roundTripOrDie(B, Stream, Tail);
   return 0;
 }

@@ -7,10 +7,15 @@
 // Writes a small, deterministic seed corpus for each fuzz target into
 // <outdir>/<target>/: valid packed archives (single- and multi-shard,
 // with and without stream compression), classfiles, zip/gzip containers,
-// and coder byte streams. Run after changing the wire format, then check
-// the regenerated seeds in:
+// and coder byte streams. Run after changing the wire format or the
+// encoder's output, then check the regenerated seeds in:
 //
 //   ./fuzz_seeds fuzz/corpus
+//
+// The *-level9.cjp seeds of fuzz_unpack and fuzz_reader are not written
+// here. They are archives of the earlier encoder, which deflated every
+// stream at level 9, kept so the decoders still start from both
+// encodings.
 //
 //===----------------------------------------------------------------------===//
 
@@ -190,7 +195,8 @@ int main(int Argc, char **Argv) {
   }
 
   // fuzz_backend: backend id byte + that backend's own compressed
-  // output for a classfile slice, so mutation starts from blobs every
+  // output for a classfile slice (compressed as the Counts stream, which
+  // zlib deflates at level 9), so mutation starts from blobs every
   // decoder fully walks (Huffman table + bitstream, arithmetic frame,
   // zlib stream, stored run).
   {
@@ -201,7 +207,7 @@ int main(int Argc, char **Argv) {
     for (const CompressionBackend &B : allBackends()) {
       std::vector<uint8_t> Seed;
       Seed.push_back(static_cast<uint8_t>(B.Id));
-      std::vector<uint8_t> Stored = B.Compress(Sample);
+      std::vector<uint8_t> Stored = B.Compress(Sample, StreamId::Counts);
       Seed.insert(Seed.end(), Stored.begin(), Stored.end());
       writeSeed(Out / "fuzz_backend", std::string(B.Name) + ".bin", Seed);
     }

@@ -7,13 +7,14 @@
 #include "pack/Backend.h"
 #include "coder/Arithmetic.h"
 #include "coder/Huffman.h"
+#include "pack/Streams.h"
 #include "zip/Zlib.h"
 
 using namespace cjpack;
 
 namespace {
 
-std::vector<uint8_t> storeCompress(std::span<const uint8_t> Raw) {
+std::vector<uint8_t> storeCompress(std::span<const uint8_t> Raw, StreamId) {
   return {Raw.begin(), Raw.end()};
 }
 
@@ -26,8 +27,9 @@ storeDecompress(std::span<const uint8_t> Stored, size_t DeclaredRaw) {
   return std::vector<uint8_t>(Stored.begin(), Stored.end());
 }
 
-std::vector<uint8_t> zlibCompress(std::span<const uint8_t> Raw) {
-  return deflateBytes(Raw);
+std::vector<uint8_t> zlibCompress(std::span<const uint8_t> Raw,
+                                  StreamId Stream) {
+  return deflateBytes(Raw, deflateSetting(Stream));
 }
 
 Expected<std::vector<uint8_t>>
@@ -35,11 +37,22 @@ zlibDecompress(std::span<const uint8_t> Stored, size_t DeclaredRaw) {
   return inflateBytes(Stored, DeclaredRaw, DeclaredRaw != 0 ? DeclaredRaw : 1);
 }
 
+std::vector<uint8_t> huffmanStreamCompress(std::span<const uint8_t> Raw,
+                                           StreamId) {
+  return huffmanCompress(Raw);
+}
+
+std::vector<uint8_t> arithStreamCompress(std::span<const uint8_t> Raw,
+                                         StreamId) {
+  return arithCompressBytes(Raw);
+}
+
 const std::array<CompressionBackend, NumBackends> Registry = {{
     {BackendId::Store, "store", storeCompress, storeDecompress},
     {BackendId::Zlib, "zlib", zlibCompress, zlibDecompress},
-    {BackendId::Huffman, "huffman", huffmanCompress, huffmanDecompress},
-    {BackendId::Arith, "arith", arithCompressBytes, arithDecompressBytes},
+    {BackendId::Huffman, "huffman", huffmanStreamCompress,
+     huffmanDecompress},
+    {BackendId::Arith, "arith", arithStreamCompress, arithDecompressBytes},
 }};
 
 } // namespace

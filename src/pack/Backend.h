@@ -13,8 +13,8 @@
 /// Wire ids (the per-stream method byte):
 ///
 ///   0  store    bytes pass through unchanged
-///   1  zlib     raw deflate, the default — archives produced with it
-///               are byte-identical to pre-registry cjpack
+///   1  zlib     raw deflate, the default, with per-stream deflate
+///               settings (deflateSetting in pack/Streams.h)
 ///   2  huffman  canonical Huffman (coder/Huffman.h)
 ///   3  arith    adaptive arithmetic coder (coder/Arithmetic.h)
 ///
@@ -45,6 +45,10 @@
 
 namespace cjpack {
 
+/// The separated wire streams (defined in pack/Streams.h). A backend's
+/// compressor is told which stream it compresses.
+enum class StreamId : uint8_t;
+
 /// Registered backend ids. Values are the wire method bytes.
 enum class BackendId : uint8_t {
   Store = 0,
@@ -70,15 +74,19 @@ constexpr const char *backendName(BackendId Id) {
 }
 
 /// One registered backend. Compress is infallible (worst case the
-/// encoder's smaller-than-raw check discards the result); Decompress
-/// must cap its output at max(DeclaredRaw, 1) bytes and fail with
-/// typed Truncated/Corrupt/LimitExceeded errors on hostile input.
-/// Both sides take borrowed spans so decoders can hand archive slices
-/// straight to a backend without an intermediate copy.
+/// encoder's smaller-than-raw check discards the result) and takes the
+/// stream it compresses: zlib picks that stream's deflate setting, the
+/// others ignore it. The setting is the encoder's alone; Decompress
+/// reads any of them. Decompress must cap its output at
+/// max(DeclaredRaw, 1) bytes and fail with typed
+/// Truncated/Corrupt/LimitExceeded errors on hostile input. Both sides
+/// take borrowed spans so decoders can hand archive slices straight to
+/// a backend without an intermediate copy.
 struct CompressionBackend {
   BackendId Id;
   const char *Name;
-  std::vector<uint8_t> (*Compress)(std::span<const uint8_t> Raw);
+  std::vector<uint8_t> (*Compress)(std::span<const uint8_t> Raw,
+                                   StreamId Stream);
   Expected<std::vector<uint8_t>> (*Decompress)(std::span<const uint8_t> Stored,
                                                size_t DeclaredRaw);
 };

@@ -34,7 +34,7 @@ bool plausibleCount(uint64_t Count, const ByteReader &R) {
 
 } // namespace
 
-void SharedDictionary::serialize(ByteWriter &W, bool Compress) const {
+std::vector<uint8_t> SharedDictionary::frameBody() const {
   ByteWriter Body;
   auto PutStrings = [&Body](const std::vector<std::string> &List) {
     writeVarUInt(Body, List.size());
@@ -58,21 +58,26 @@ void SharedDictionary::serialize(ByteWriter &W, bool Compress) const {
     }
   }
 
-  std::vector<uint8_t> Raw = Body.take();
-  std::vector<uint8_t> Deflated;
-  if (Compress && !Raw.empty()) {
-    Deflated = deflateBytes(Raw);
-    if (Deflated.size() >= Raw.size())
-      Deflated.clear();
-  }
-  writeVarUInt(W, Raw.size());
-  if (!Deflated.empty()) {
-    writeVarUInt(W, Deflated.size());
-    W.writeBytes(Deflated);
-  } else {
-    writeVarUInt(W, Raw.size());
-    W.writeBytes(Raw);
-  }
+  return Body.take();
+}
+
+std::vector<uint8_t>
+SharedDictionary::deflateFrame(std::span<const uint8_t> Body) {
+  return deflateBytes(Body);
+}
+
+void SharedDictionary::writeFrame(ByteWriter &W, std::span<const uint8_t> Body,
+                                  std::span<const uint8_t> Deflated) {
+  std::span<const uint8_t> Stored =
+      !Deflated.empty() && Deflated.size() < Body.size() ? Deflated : Body;
+  writeVarUInt(W, Body.size());
+  writeVarUInt(W, Stored.size());
+  W.writeBytes(Stored);
+}
+
+void SharedDictionary::serialize(ByteWriter &W, bool Compress) const {
+  std::vector<uint8_t> Body = frameBody();
+  writeFrame(W, Body, Compress ? deflateFrame(Body) : std::vector<uint8_t>());
 }
 
 Expected<SharedDictionary>

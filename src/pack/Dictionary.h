@@ -35,6 +35,7 @@
 #include "support/ByteBuffer.h"
 #include "support/DecodeLimits.h"
 #include "support/Error.h"
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,9 +66,22 @@ struct SharedDictionary {
            MethodNames.size() + Strings.size() + ClassRefs.size();
   }
 
-  /// Serializes as a framed blob — varint raw length, varint stored
-  /// length, body — deflated when \p Compress is set and it helps
-  /// (stored length < raw length means deflate).
+  /// The frame's body: every list, unframed.
+  std::vector<uint8_t> frameBody() const;
+
+  /// The compressor of a frame body: level-9 deflate. The packer runs
+  /// it as one task of the stream compression batch (BatchExtra).
+  static std::vector<uint8_t> deflateFrame(std::span<const uint8_t> Body);
+
+  /// Writes the frame of \p Body — varint raw length, varint stored
+  /// length, stored bytes — storing \p Deflated when it is non-empty
+  /// and strictly smaller than \p Body (stored length < raw length
+  /// means deflate), else \p Body itself.
+  static void writeFrame(ByteWriter &W, std::span<const uint8_t> Body,
+                         std::span<const uint8_t> Deflated);
+
+  /// Writes the whole frame at once, deflated when \p Compress is set
+  /// and it helps.
   void serialize(ByteWriter &W, bool Compress) const;
 
   /// Parses a framed dictionary. The declared raw length is checked

@@ -830,6 +830,16 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
                                               : FormatVersionSharded;
   ByteWriter W;
   writeArchiveHeader(W, archiveHeader(Version, Options));
+  // Versions 2 and 3 carry the dictionary frame. Its body deflates as one
+  // more task of the stream batch.
+  std::vector<uint8_t> DictBody = Dict.frameBody();
+  BatchExtra DictJob{DictBody, &SharedDictionary::deflateFrame, {}};
+  BatchExtra *DictTask = Options.CompressStreams ? &DictJob : nullptr;
+  auto WriteDictionary = [&] {
+    size_t DictStart = W.size();
+    SharedDictionary::writeFrame(W, DictBody, DictJob.Out);
+    Result.DictionaryBytes = W.size() - DictStart;
+  };
   if (Version == FormatVersionIndexed) {
     // Version 3: header, per-class index, dictionary frame, then each
     // shard's streams serialized as an independent self-contained blob
@@ -837,8 +847,9 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     // touching the others. Per-blob compression costs a little ratio
     // versus v2's joint per-stream compression — that is the price of
     // random access.
-    std::vector<std::vector<uint8_t>> Blobs = serializeStreamSets(
-        ShardStreams, Options.backendPlan(), &Result.Sizes, &Pool);
+    std::vector<std::vector<uint8_t>> Blobs =
+        serializeStreamSets(ShardStreams, Options.backendPlan(),
+                            &Result.Sizes, &Pool, DictTask);
     ArchiveIndex Index;
     uint64_t Offset = 0;
     auto Name = IndexNames.begin(); // the slices tile Ordered in order
@@ -855,17 +866,14 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     writeVarUInt(W, IndexBytes.size());
     W.writeBytes(IndexBytes);
     Result.IndexBytes = W.size() - IndexStart;
-    size_t DictStart = W.size();
-    Dict.serialize(W, Options.CompressStreams);
-    Result.DictionaryBytes = W.size() - DictStart;
+    WriteDictionary();
     for (const std::vector<uint8_t> &B : Blobs)
       W.writeBytes(B);
   } else if (Version == FormatVersionSharded) {
-    size_t DictStart = W.size();
-    Dict.serialize(W, Options.CompressStreams);
-    Result.DictionaryBytes = W.size() - DictStart;
-    W.writeBytes(serializeShardedStreams(ShardStreams, Options.backendPlan(),
-                                         &Result.Sizes, &Pool));
+    std::vector<uint8_t> Container = serializeShardedStreams(
+        ShardStreams, Options.backendPlan(), &Result.Sizes, &Pool, DictTask);
+    WriteDictionary();
+    W.writeBytes(Container);
   } else {
     // Version 1: the lone shard's streams, with no dictionary frame —
     // one shard shares definitions with nobody.

@@ -108,8 +108,8 @@ struct PackOptions {
   /// exactly as before. Requires unique class names.
   bool RandomAccessIndex = false;
   /// Final-stage compression backend applied uniformly to every stream
-  /// (pack/Backend.h). Zlib is the historical default; archives packed
-  /// with it are byte-identical to pre-registry cjpack.
+  /// (pack/Backend.h). Zlib, the default, deflates each stream with its
+  /// own fixed setting (deflateSetting in pack/Streams.h).
   BackendId Backend = BackendId::Zlib;
   /// Per-stream backend overrides (the `packtool tune` tournament
   /// output). When set, takes precedence over Backend and the archive

@@ -18,10 +18,11 @@ namespace {
 /// backend, keep the result only when strictly smaller than raw (the
 /// historical zlib rule, now per backend), else store. Returns the
 /// wire method byte; \p Stored receives the bytes to write.
-uint8_t packStream(BackendId Plan, const std::vector<uint8_t> &Raw,
+uint8_t packStream(BackendId Plan, StreamId Id,
+                   const std::vector<uint8_t> &Raw,
                    std::vector<uint8_t> &Stored) {
   if (Plan != BackendId::Store && !Raw.empty()) {
-    Stored = allBackends()[static_cast<uint8_t>(Plan)].Compress(Raw);
+    Stored = allBackends()[static_cast<uint8_t>(Plan)].Compress(Raw, Id);
     if (Stored.size() < Raw.size())
       return static_cast<uint8_t>(Plan);
     Stored.clear();
@@ -45,33 +46,44 @@ struct PackedStream {
 
 /// Runs packStream over a batch of raw streams: whole stream sets laid
 /// end to end, so \p Raw[I] is stream I % NumStreams and compresses
-/// with that stream's planned backend. Streams are independent
-/// compression units, so on \p Pool (when it has more than one worker)
-/// they compress concurrently, the largest first so the few long ones
-/// start early. The results come back in batch order either way, so the
-/// bytes never depend on the schedule.
+/// with that stream's planned backend. \p Extra, when given, is one
+/// more task. Tasks are independent compression units, so on \p Pool
+/// (when it has more than one worker) they compress concurrently, the
+/// largest first so the few long ones start early. The results come
+/// back in batch order either way, so the bytes never depend on the
+/// schedule.
 std::vector<PackedStream>
 packStreams(std::span<const std::vector<uint8_t> *const> Raw,
-            const BackendPlan &Plan, ThreadPool *Pool) {
+            const BackendPlan &Plan, ThreadPool *Pool, BatchExtra *Extra) {
   std::vector<PackedStream> Out(Raw.size());
-  auto Pack = [&Raw, &Plan, &Out](size_t I) {
-    Out[I].Method =
-        packStream(Plan.Stream[I % NumStreams], *Raw[I], Out[I].Compressed);
+  // Task I < Raw.size() packs stream I; task Raw.size() is Extra.
+  size_t Tasks = Raw.size() + (Extra ? 1 : 0);
+  auto Run = [&Raw, &Plan, &Out, Extra](size_t I) {
+    if (I == Raw.size()) {
+      Extra->Out = Extra->Compress(Extra->Raw);
+      return;
+    }
+    Out[I].Method = packStream(Plan.Stream[I % NumStreams],
+                               static_cast<StreamId>(I % NumStreams), *Raw[I],
+                               Out[I].Compressed);
   };
   if (!Pool || Pool->size() < 2) {
-    for (size_t I = 0; I < Raw.size(); ++I)
-      Pack(I);
+    for (size_t I = 0; I < Tasks; ++I)
+      Run(I);
     return Out;
   }
-  std::vector<size_t> Order(Raw.size());
+  auto Size = [&Raw, Extra](size_t I) {
+    return I == Raw.size() ? Extra->Raw.size() : Raw[I]->size();
+  };
+  std::vector<size_t> Order(Tasks);
   std::iota(Order.begin(), Order.end(), size_t{0});
-  std::stable_sort(Order.begin(), Order.end(), [&Raw](size_t A, size_t B) {
-    return Raw[A]->size() > Raw[B]->size();
+  std::stable_sort(Order.begin(), Order.end(), [&Size](size_t A, size_t B) {
+    return Size(A) > Size(B);
   });
   std::vector<std::future<void>> Done;
   Done.reserve(Order.size());
   for (size_t I : Order)
-    Done.push_back(Pool->submit([&Pack, I] { Pack(I); }));
+    Done.push_back(Pool->submit([&Run, I] { Run(I); }));
   // Wait for every task before get() can rethrow: the tasks write into
   // this frame's state.
   for (std::future<void> &F : Done)
@@ -191,7 +203,7 @@ Expected<StoredStream> cjpack::readStreamEntry(ByteReader &R, unsigned Id,
 std::vector<uint8_t>
 cjpack::serializeShardedStreams(const std::vector<StreamSet> &Shards,
                                 const BackendPlan &Plan, StreamSizes *Sizes,
-                                ThreadPool *Pool) {
+                                ThreadPool *Pool, BatchExtra *Extra) {
   std::vector<std::vector<uint8_t>> Joined(NumStreams);
   std::vector<const std::vector<uint8_t> *> Batch;
   Batch.reserve(NumStreams);
@@ -202,7 +214,7 @@ cjpack::serializeShardedStreams(const std::vector<StreamSet> &Shards,
     }
     Batch.push_back(&Joined[I]);
   }
-  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Pool);
+  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Pool, Extra);
 
   ByteWriter W;
   writeVarUInt(W, Shards.size());
@@ -262,13 +274,13 @@ std::vector<uint8_t> StreamSet::serialize(const BackendPlan &Plan,
 std::vector<std::vector<uint8_t>>
 cjpack::serializeStreamSets(std::span<const StreamSet> Sets,
                             const BackendPlan &Plan, StreamSizes *Sizes,
-                            ThreadPool *Pool) {
+                            ThreadPool *Pool, BatchExtra *Extra) {
   std::vector<const std::vector<uint8_t> *> Batch;
   Batch.reserve(Sets.size() * NumStreams);
   for (const StreamSet &S : Sets)
     for (unsigned I = 0; I < NumStreams; ++I)
       Batch.push_back(&S.raw(static_cast<StreamId>(I)));
-  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Pool);
+  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Pool, Extra);
 
   std::vector<std::vector<uint8_t>> Out;
   Out.reserve(Sets.size());

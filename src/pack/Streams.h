@@ -22,6 +22,7 @@
 #include "support/ByteBuffer.h"
 #include "support/DecodeLimits.h"
 #include "support/Error.h"
+#include "zip/Zlib.h"
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -121,6 +122,59 @@ constexpr StreamCategory streamCategory(StreamId Id) {
     return StreamCategory::Misc;
   }
   return StreamCategory::Misc; // unreachable for in-range ids
+}
+
+/// The zlib backend's deflate setting for stream \p Id, exhaustive like
+/// streamCategory. Level 9 pays off on some streams only (DESIGN.md has
+/// every stream's bytes and times):
+///  - the move-to-front reference streams and StringLengths are small
+///    integers where LZ77 matches cost more bits than they save: on the
+///    benchmark jars Huffman coding alone is 9% smaller and six times
+///    faster. FieldRefs is smaller still under Z_RLE, which matches only
+///    runs of the previous byte;
+///  - LongConsts and DoubleConsts are fixed 8-byte records that walk
+///    level 9's hash chains to their 4096 limit: Huffman-only (longs)
+///    and level 6 (doubles) cost 3-5% of their bytes and 1-5% of the
+///    time;
+///  - Opcodes is the largest stream and the batch's longest task:
+///    level 6 halves its time for 0.8% more of its bytes;
+///  - the rest, SimpleNameRefs' long runs of MTF zeros among them, keep
+///    level 9.
+/// The setting is the encoder's alone: every setting writes plain raw
+/// deflate, so the decoder and the wire format do not see it.
+constexpr DeflateSetting deflateSetting(StreamId Id) {
+  constexpr DeflateSetting Level9{9, DeflateStrategy::Default};
+  constexpr DeflateSetting Level6{6, DeflateStrategy::Default};
+  constexpr DeflateSetting HuffmanOnly{9, DeflateStrategy::HuffmanOnly};
+  constexpr DeflateSetting Rle{9, DeflateStrategy::Rle};
+  switch (Id) {
+  case StreamId::FieldRefs:
+    return Rle;
+  case StreamId::PackageRefs:
+  case StreamId::ClassRefs:
+  case StreamId::FieldNameRefs:
+  case StreamId::MethodNameRefs:
+  case StreamId::MethodRefs:
+  case StreamId::StringConstRefs:
+  case StreamId::StringLengths:
+  case StreamId::LongConsts:
+    return HuffmanOnly;
+  case StreamId::DoubleConsts:
+  case StreamId::Opcodes:
+    return Level6;
+  case StreamId::Counts:
+  case StreamId::Flags:
+  case StreamId::Registers:
+  case StreamId::BranchOffsets:
+  case StreamId::IntConsts:
+  case StreamId::FloatConsts:
+  case StreamId::SimpleNameRefs:
+  case StreamId::NameChars:
+  case StreamId::ClassNameChars:
+  case StreamId::StringConstChars:
+    return Level9;
+  }
+  return Level9; // unreachable for in-range ids
 }
 
 /// Printable name of \p Id; exhaustive like streamCategory.
@@ -307,13 +361,24 @@ Expected<StoredStream> readStreamEntry(ByteReader &R, unsigned Id,
                                        std::span<uint64_t> RawLens,
                                        const DecodeLimits &Limits);
 
+/// A buffer outside the stream directory that compresses as one more
+/// task of a stream batch: the shared dictionary's frame body
+/// (Dictionary.h), so its deflate runs beside the streams' instead of
+/// serially before or after them. The batch sets Out to Compress(Raw).
+struct BatchExtra {
+  std::span<const uint8_t> Raw;
+  std::vector<uint8_t> (*Compress)(std::span<const uint8_t> Raw);
+  std::vector<uint8_t> Out;
+};
+
 /// Serializes each of \p Sets as StreamSet::serialize does, compressing
-/// every set's streams as one batch on \p Pool (when given), so the
-/// version-3 shard blobs compress concurrently. The accounting of all
-/// sets is added to \p Sizes.
+/// every set's streams (and \p Extra, when given) as one batch on
+/// \p Pool (when given), so the version-3 shard blobs compress
+/// concurrently. The accounting of all sets is added to \p Sizes.
 std::vector<std::vector<uint8_t>>
 serializeStreamSets(std::span<const StreamSet> Sets, const BackendPlan &Plan,
-                    StreamSizes *Sizes, ThreadPool *Pool = nullptr);
+                    StreamSizes *Sizes, ThreadPool *Pool = nullptr,
+                    BatchExtra *Extra = nullptr);
 
 /// Serializes \p Shards into the version-2 grouped stream container.
 /// Each of the NumStreams streams stores its shards' bytes concatenated
@@ -324,11 +389,13 @@ serializeStreamSets(std::span<const StreamSet> Sets, const BackendPlan &Plan,
 /// order: id byte, method byte, one varint raw length per shard, varint
 /// stored length, stored bytes. The container is a pure function of the
 /// shards' contents. \p Sizes receives the per-stream accounting, with
-/// each stream charged its own directory header. The joined streams
-/// compress on \p Pool's workers when given.
+/// each stream charged its own directory header. The joined streams,
+/// and \p Extra when given, compress as one batch on \p Pool's workers
+/// when given.
 std::vector<uint8_t> serializeShardedStreams(
     const std::vector<StreamSet> &Shards, const BackendPlan &Plan,
-    StreamSizes *Sizes, ThreadPool *Pool = nullptr);
+    StreamSizes *Sizes, ThreadPool *Pool = nullptr,
+    BatchExtra *Extra = nullptr);
 
 /// Parses a container written by serializeShardedStreams back into
 /// per-shard stream sets, validating the shard count and every

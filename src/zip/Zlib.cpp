@@ -9,12 +9,29 @@
 
 using namespace cjpack;
 
+namespace {
+
+int zlibStrategy(DeflateStrategy S) {
+  switch (S) {
+  case DeflateStrategy::Default:
+    return Z_DEFAULT_STRATEGY;
+  case DeflateStrategy::HuffmanOnly:
+    return Z_HUFFMAN_ONLY;
+  case DeflateStrategy::Rle:
+    return Z_RLE;
+  }
+  return Z_DEFAULT_STRATEGY; // unreachable for in-range strategies
+}
+
+} // namespace
+
 std::vector<uint8_t> cjpack::deflateBytes(std::span<const uint8_t> Data,
-                                          int Level) {
+                                          DeflateSetting Setting) {
   z_stream S{};
   // windowBits = -15 selects raw deflate (no zlib header/trailer).
   [[maybe_unused]] int Rc =
-      deflateInit2(&S, Level, Z_DEFLATED, -15, 9, Z_DEFAULT_STRATEGY);
+      deflateInit2(&S, Setting.Level, Z_DEFLATED, -15, 9,
+                   zlibStrategy(Setting.Strategy));
   assert(Rc == Z_OK && "deflateInit2 failed");
   std::vector<uint8_t> Out(deflateBound(&S, Data.size()));
   S.next_in = const_cast<Bytef *>(Data.data());

@@ -22,9 +22,21 @@
 
 namespace cjpack {
 
-/// Compresses \p Data with raw deflate at \p Level (1..9).
+/// zlib's deflate strategies: Default runs LZ77 matching then Huffman
+/// coding; HuffmanOnly skips matching (Z_HUFFMAN_ONLY); Rle matches only
+/// runs of the previous byte (Z_RLE).
+enum class DeflateStrategy : uint8_t { Default, HuffmanOnly, Rle };
+
+/// One deflate configuration: a level (1..9) and a strategy. Any
+/// setting writes plain raw deflate, so inflateBytes reads them all.
+struct DeflateSetting {
+  int Level = 9;
+  DeflateStrategy Strategy = DeflateStrategy::Default;
+};
+
+/// Compresses \p Data with raw deflate under \p Setting.
 std::vector<uint8_t> deflateBytes(std::span<const uint8_t> Data,
-                                  int Level = 9);
+                                  DeflateSetting Setting = {});
 
 /// Decompresses raw-deflate \p Data; \p ExpectedSize is a sizing hint
 /// (0 when unknown). \p MaxOutput, when non-zero, is a hard cap on the

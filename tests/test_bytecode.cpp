@@ -340,6 +340,23 @@ TEST(EncodedLength, MatchesDecodedLengths) {
         << opInfo(I.Opcode).Mnemonic;
 }
 
+namespace {
+
+constexpr VType AllVTypes[] = {VType::Int,    VType::Long, VType::Float,
+                               VType::Double, VType::Ref,  VType::Void,
+                               VType::Unknown};
+
+/// The opcodes with a collapse family: FamilyOpcodeTest's parameters.
+std::vector<int> familyOpcodes() {
+  std::vector<int> Out;
+  for (int Raw = 0; Raw <= MaxOpcode; ++Raw)
+    if (familyOf(static_cast<Op>(Raw)) != OpFamily::None)
+      Out.push_back(Raw);
+  return Out;
+}
+
+} // namespace
+
 class FamilyOpcodeTest : public ::testing::TestWithParam<int> {};
 
 /// Exhaustive consistency of the collapse tables: for every opcode in a
@@ -349,8 +366,7 @@ TEST_P(FamilyOpcodeTest, VariantTablesAreConsistent) {
   uint8_t Raw = static_cast<uint8_t>(GetParam());
   Op O = static_cast<Op>(Raw);
   OpFamily F = familyOf(O);
-  if (F == OpFamily::None)
-    GTEST_SKIP() << opInfo(O).Mnemonic << " is not collapsible";
+  ASSERT_NE(F, OpFamily::None) << opInfo(O).Mnemonic;
   // Find the key type by probing all VTypes: exactly one must map back.
   unsigned Matches = 0;
   for (VType T : {VType::Int, VType::Long, VType::Float, VType::Double,
@@ -383,8 +399,29 @@ TEST_P(FamilyOpcodeTest, VariantTablesAreConsistent) {
   EXPECT_FALSE(variantFor(F, VType::Unknown).has_value());
 }
 
+// Named by opcode value, so a test's name says which opcode it checks.
 INSTANTIATE_TEST_SUITE_P(AllOpcodes, FamilyOpcodeTest,
-                         ::testing::Range(0, 202));
+                         ::testing::ValuesIn(familyOpcodes()),
+                         [](const ::testing::TestParamInfo<int> &Info) {
+                           return std::to_string(Info.param);
+                         });
+
+/// The complement of FamilyOpcodeTest: the collapsible set is pinned,
+/// and no other opcode has a family or is any family's variant.
+TEST(FamilyOpcodes, OnlyCollapsibleOpcodesHaveFamilies) {
+  EXPECT_EQ(familyOpcodes().size(), 66u);
+  for (VType T : AllVTypes)
+    EXPECT_FALSE(variantFor(OpFamily::None, T).has_value());
+  for (int Raw = 0; Raw <= MaxOpcode; ++Raw) {
+    Op O = static_cast<Op>(Raw);
+    if (familyOf(O) != OpFamily::None)
+      continue;
+    for (unsigned F = 1; F < NumOpFamilies; ++F)
+      for (VType T : AllVTypes)
+        EXPECT_NE(variantFor(static_cast<OpFamily>(F), T), O)
+            << opInfo(O).Mnemonic << " is a variant of family " << F;
+  }
+}
 
 TEST(InstructionCodec, EveryFixedFormatOpcodeRoundTrips) {
   // Build a one-instruction code array for every opcode with a fixed

@@ -11,11 +11,14 @@
 // and every reference scheme. Uncompressed archives are asserted
 // unconditionally (pure function of the codec); compressed archives
 // additionally depend on the zlib version, so those hashes are only
-// asserted under the zlib they were recorded with.
+// asserted under the zlib versions verified to write them.
 //
-// To regenerate after an INTENDED wire change (which must also bump the
-// format version): print sha1Hex(packClassBytes(...)->Archive) for each
-// key below with Threads=2 and update the table.
+// To regenerate after an INTENDED change of the archive bytes (a wire
+// change, which must also bump the format version, or an encoder-only
+// one such as a new per-stream deflate setting): print
+// sha1Hex(packClassBytes(...)->Archive) for each key below with
+// Threads=2 and update the table. Record the compressed rows under
+// every zlib in GoldenZlibVersions and check that they agree.
 //
 // The restored bytes are pinned the same way: the canonical (§12) form
 // of each corpus style must come back, byte for byte, from its raw v1
@@ -33,13 +36,17 @@
 #include "classfile/Reader.h"
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
+#include "pack/ArchiveFormat.h"
 #include "pack/ArchiveReader.h"
 #include "pack/Packer.h"
 #include "pack/Stats.h"
 #include "support/Sha1.h"
+#include "support/VarInt.h"
 #include <algorithm>
 #include <gtest/gtest.h>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <zlib.h>
 
@@ -47,31 +54,24 @@ using namespace cjpack;
 
 namespace {
 
-/// zlib version the compressed golden hashes were recorded under.
-const char *const GoldenZlib = "1.2.13";
-
-/// zlib version the backend rows' dictionary frames were recorded
-/// under (the backend registry postdates the 1.2.13 rows above).
-const char *const BackendGoldenZlib = "1.3.1";
-
-/// Sentinel for expectGolden: infer the zlib dependence from the pack
-/// options (compressed → GoldenZlib, uncompressed → none).
-const char *const InferZlibDep = "";
+/// zlib versions verified to write the pinned bytes of every row that
+/// holds deflate output. Under any other version those rows skip.
+const std::set<std::string> GoldenZlibVersions = {"1.2.13", "1.3.1"};
 
 /// Golden SHA-1 of the archive bytes for each (corpus, options) key.
 const std::map<std::string, std::string> GoldenHashes = {
     {"balanced/s1/raw", "bf33effb4a399a16d75c0880ebb68608fd348ab8"},
-    {"balanced/s1/z", "bfb18d229ef015baf43db7dbf16bae16b88a5840"},
+    {"balanced/s1/z", "09b7ce2c478c305fe682150e10be0332488714fd"},
     {"balanced/s4/raw", "7cad34cc0afbd91947cf1252d73998b88b4e3dca"},
-    {"balanced/s4/z", "1b9c7330b06d97bdf8705f0b49f6c27b581758c5"},
+    {"balanced/s4/z", "d4225fd5b36bc83020c0c05644923c92ae6b4297"},
     {"numeric/s1/raw", "bc5031a55f75dcf2699aa82ce30f42b4a5728b3a"},
-    {"numeric/s1/z", "45d50643bfceb432e6283fc8cc452a17731dd750"},
+    {"numeric/s1/z", "529fe19941852ef10a1f6fb9c52bf6ee845ae919"},
     {"numeric/s4/raw", "981b1c869fef3335322bb807b6e47cf854f58484"},
-    {"numeric/s4/z", "7e080afad124b0d4e7010d518d9d6f2af7d95303"},
+    {"numeric/s4/z", "f3f752e6331f9e335f31e6c6bb3bdb70218018f1"},
     {"stringheavy/s1/raw", "f5a558f93ecbe0dcb45c505459d069fdc92a2855"},
-    {"stringheavy/s1/z", "b6658014fff2b0c1ef53a786e43bb847fbe9f22f"},
+    {"stringheavy/s1/z", "43f27505473b2228fba72454792b6d28c992ec8e"},
     {"stringheavy/s4/raw", "83d3025a9809256514e25f2db8ef632f61d66b4f"},
-    {"stringheavy/s4/z", "efaf1f519e6b74b0b91353f1d3ba2c2f1a61a301"},
+    {"stringheavy/s4/z", "21ce13c4b551ed6e86c6276df48cdb8c2962ad40"},
     {"balanced/s1/preload", "9d2c8af60b868c44523825e80cf02fe9c01a703b"},
     {"balanced/s4/preload", "7a671cb18780a1d3a1829067a20b21703c641f59"},
     {"balanced/s1/nocollapse", "73412ab33f34329d0e8c0b00c7b9465b860a3802"},
@@ -112,13 +112,13 @@ const std::map<std::string, std::string> GoldenHashes = {
     // the rows above double as proof the v3 code path leaves v1/v2
     // byte-identical.
     {"balanced/s1/v3raw", "180936faf6d5b9160b1c22fe49b506f0216dbb69"},
-    {"balanced/s1/v3z", "77a4d2bba68f5724c3c50c81ce7d635db38eb2a0"},
+    {"balanced/s1/v3z", "71a51645937cd4d941758f7d0fbb4daf5dcd5bce"},
     {"balanced/s4/v3raw", "acdbc96f64b3d2a5a630525da52e04a94e742414"},
-    {"balanced/s4/v3z", "ceaa75bdc726bae3388669596e68de3c024059f4"},
+    {"balanced/s4/v3z", "5b09db662d2af10607d008185fc8c278aec46a6f"},
     // Non-default compression backends. The s1 rows are zlib-free (a
     // version-1 archive has no dictionary frame), so they hold under
     // any zlib; the s4 rows deflate the dictionary and are pinned to
-    // BackendGoldenZlib.
+    // GoldenZlibVersions.
     {"balanced/s1/b-store", "8e2e977765132ab6626d7fd1d278444ee34e587d"},
     {"balanced/s1/b-huffman",
      "358f66e9215dc23689a47fe115bfcc16c04b9f2a"},
@@ -169,14 +169,13 @@ std::vector<NamedClass> corpusFor(CodeStyle Style) {
 
 /// Packs (Threads=2, like the recording run) and checks the archive
 /// hash against the golden table, plus the stats sum identity.
-/// \p RequiredZlib names the zlib version the row's bytes depend on:
-/// InferZlibDep derives it from the options (the historical rows),
-/// nullptr asserts the archive contains no zlib output at all, so the
-/// hash holds under any zlib.
+/// \p HoldsDeflate says whether the archive holds zlib output, so that
+/// its hash is pinned only under GoldenZlibVersions; unset, it follows
+/// Options.CompressStreams (a zlib-free row holds under any zlib).
 void expectGolden(const std::string &Key,
                   const std::vector<NamedClass> &Classes,
                   PackOptions Options,
-                  const char *RequiredZlib = InferZlibDep) {
+                  std::optional<bool> HoldsDeflate = std::nullopt) {
   Options.Threads = 2;
   auto Packed = packClassBytes(Classes, Options);
   ASSERT_TRUE(static_cast<bool>(Packed)) << Key << ": "
@@ -199,11 +198,10 @@ void expectGolden(const std::string &Key,
         << Key << " packed " << streamName(static_cast<StreamId>(I));
   }
 
-  if (RequiredZlib == InferZlibDep)
-    RequiredZlib = Options.CompressStreams ? GoldenZlib : nullptr;
-  if (RequiredZlib && std::string(zlibVersion()) != RequiredZlib)
-    GTEST_SKIP() << "golden recorded under zlib " << RequiredZlib
-                 << ", running " << zlibVersion();
+  if (HoldsDeflate.value_or(Options.CompressStreams) &&
+      !GoldenZlibVersions.contains(zlibVersion()))
+    GTEST_SKIP() << "golden verified under zlib 1.2.13 and 1.3.1, running "
+                 << zlibVersion();
   auto It = GoldenHashes.find(Key);
   ASSERT_NE(It, GoldenHashes.end()) << "no golden hash for " << Key;
   EXPECT_EQ(sha1Hex(Packed->Archive), It->second)
@@ -325,8 +323,8 @@ TEST(WireCompat, EveryReferenceScheme) {
   }
 }
 
-// The zlib-free v3 rows have their own test, so that a zlib other than
-// GoldenZlib skips only the v3z rows below.
+// The zlib-free v3 rows have their own test, so that a zlib outside
+// GoldenZlibVersions skips only the v3z rows below.
 TEST(WireCompat, IndexedRawArchives) {
   auto Classes = corpusFor(CodeStyle::Balanced);
   for (unsigned Shards : {1u, 4u}) {
@@ -352,8 +350,8 @@ TEST(WireCompat, IndexedArchives) {
 
 // The pluggable backends pin their own wire bytes: the per-stream
 // method bytes, the header backend code, and the codec output itself.
-// (The zlib rows above double as proof the registry leaves the default
-// pipeline byte-identical.)
+// (The zlib rows above pin the default pipeline and its per-stream
+// deflate settings.)
 TEST(WireCompat, BackendArchives) {
   auto Classes = corpusFor(CodeStyle::Balanced);
   for (unsigned Shards : {1u, 4u}) {
@@ -363,8 +361,130 @@ TEST(WireCompat, BackendArchives) {
       Options.Backend = Backend;
       expectGolden("balanced/s" + std::to_string(Shards) + "/b-" +
                        backendName(Backend),
-                   Classes, Options,
-                   Shards == 1 ? nullptr : BackendGoldenZlib);
+                   Classes, Options, Shards != 1);
+    }
+  }
+}
+
+namespace {
+
+/// The compression units of each stream of an uncompressed archive, as
+/// its container compresses them: one per stream in versions 1 and 2
+/// (v2 joins the shards' bytes), one per shard blob in version 3.
+std::vector<std::vector<std::vector<uint8_t>>>
+compressionUnits(const std::vector<uint8_t> &Archive) {
+  ByteReader R(Archive);
+  auto H = readArchiveHeader(R);
+  EXPECT_TRUE(static_cast<bool>(H)) << H.message();
+  if (!H)
+    return {};
+  std::vector<StreamSet> Sets;
+  bool Joined = H->Version == FormatVersionSharded;
+  if (Joined) {
+    EXPECT_TRUE(static_cast<bool>(SharedDictionary::deserialize(R)));
+    auto Shards = deserializeShardedStreams(R);
+    EXPECT_TRUE(static_cast<bool>(Shards)) << Shards.message();
+    if (Shards)
+      Sets = std::move(*Shards);
+  } else {
+    std::vector<std::span<const uint8_t>> Blobs;
+    if (H->Version == FormatVersionIndexed) {
+      auto F = readIndexedFrames(R, DecodeLimits());
+      EXPECT_TRUE(static_cast<bool>(F)) << F.message();
+      for (size_t K = 0; F && K < F->Index.Shards.size(); ++K)
+        Blobs.push_back(F->blob(Archive, K));
+    } else {
+      Blobs.push_back(R.readSpan(R.remaining()));
+    }
+    for (std::span<const uint8_t> Blob : Blobs) {
+      ByteReader BR(Blob);
+      EXPECT_FALSE(static_cast<bool>(Sets.emplace_back().deserialize(BR)));
+    }
+  }
+  std::vector<std::vector<std::vector<uint8_t>>> Units(NumStreams);
+  for (unsigned I = 0; I < NumStreams; ++I) {
+    for (StreamSet &S : Sets) {
+      ByteReader &In = S.in(static_cast<StreamId>(I));
+      std::span<const uint8_t> Bytes = In.readSpan(In.remaining());
+      if (!Joined || Units[I].empty())
+        Units[I].emplace_back();
+      Units[I].back().insert(Units[I].back().end(), Bytes.begin(),
+                             Bytes.end());
+    }
+  }
+  return Units;
+}
+
+/// A stream unit's archive cost: its stored bytes plus the varint that
+/// declares their length (the rest of a directory entry does not
+/// depend on how the unit is compressed).
+size_t storedCost(const std::vector<uint8_t> &Raw,
+                  const std::vector<uint8_t> &Compressed) {
+  size_t Stored = !Raw.empty() && Compressed.size() < Raw.size()
+                      ? Compressed.size()
+                      : Raw.size();
+  ByteWriter Len;
+  writeVarUInt(Len, Stored);
+  return Stored + Len.size();
+}
+
+} // namespace
+
+// The per-stream deflate settings (deflateSetting) must never trade
+// bytes silently: on every corpus style and container, each reference
+// stream and StringLengths stores no more than level-9 deflate would,
+// and the default archive's streams total no more than the same raw
+// streams deflated uniformly at level 9. (LongConsts trades a few bytes
+// for most of its deflate time, so only the total bounds it.)
+TEST(WireCompat, DeflateSettingsNeverCostBytes) {
+  for (CodeStyle Style :
+       {CodeStyle::Balanced, CodeStyle::Numeric, CodeStyle::StringHeavy}) {
+    auto Classes = corpusFor(Style);
+    for (unsigned Shards : {1u, 4u}) {
+      for (bool Indexed : {false, true}) {
+        std::string Key = std::string(styleName(Style)) + "/s" +
+                          std::to_string(Shards) + (Indexed ? "/v3" : "");
+        PackOptions Options;
+        Options.Shards = Shards;
+        Options.Threads = 2;
+        Options.RandomAccessIndex = Indexed;
+        auto Default = packClassBytes(Classes, Options);
+        Options.CompressStreams = false;
+        auto Raw = packClassBytes(Classes, Options);
+        ASSERT_TRUE(Default && Raw) << Key;
+        auto Units = compressionUnits(Raw->Archive);
+
+        const CompressionBackend &Zlib = *findBackend(
+            static_cast<uint8_t>(BackendId::Zlib));
+        size_t PlanTotal = 0, Level9Total = 0;
+        for (unsigned I = 0; I < NumStreams; ++I) {
+          StreamId Id = static_cast<StreamId>(I);
+          // A stream's packed size in the uncompressed archive, with
+          // each unit's stored cost swapped for its cost under the plan
+          // (Compress, the archive's own path) and under level 9.
+          size_t Plan = Raw->Sizes.Packed[I];
+          size_t Level9 = Raw->Sizes.Packed[I];
+          for (const std::vector<uint8_t> &Unit : Units[I]) {
+            Plan += storedCost(Unit, Zlib.Compress(Unit, Id));
+            Level9 += storedCost(Unit, deflateBytes(Unit));
+            Plan -= storedCost(Unit, Unit);
+            Level9 -= storedCost(Unit, Unit);
+          }
+          // The swap reproduces the default archive exactly, so the
+          // bounds below are about the archive pack writes.
+          EXPECT_EQ(Plan, Default->Sizes.Packed[I])
+              << Key << " " << streamName(Id);
+          if ((streamCategory(Id) == StreamCategory::Refs &&
+               Id != StreamId::SimpleNameRefs) ||
+              Id == StreamId::StringLengths) {
+            EXPECT_LE(Plan, Level9) << Key << " " << streamName(Id);
+          }
+          PlanTotal += Plan;
+          Level9Total += Level9;
+        }
+        EXPECT_EQ(PlanTotal, Default->Sizes.totalPacked()) << Key;
+        EXPECT_LE(PlanTotal, Level9Total) << Key;
+      }
     }
   }
 }
