@@ -125,6 +125,8 @@ const std::map<std::string, std::string> GoldenHashes = {
     {"balanced/s4/b-store", "03f11144bdf4f19fd423aad32f98845e192babc9"},
     {"balanced/s4/b-huffman",
      "6671f354536aad39321bdbf58e8ddb3b160d4084"},
+    {"balanced/s1/b-arith", "c84f14cb07c2dffdaec5c1768351d5221161c3cf"},
+    {"balanced/s4/b-arith", "a11157ec500bf79316d83ab431fe749b6eef44d7"},
 };
 
 /// Golden SHA-1 of each corpus's canonical (§12) form: the prepared
@@ -355,7 +357,8 @@ TEST(WireCompat, IndexedArchives) {
 TEST(WireCompat, BackendArchives) {
   auto Classes = corpusFor(CodeStyle::Balanced);
   for (unsigned Shards : {1u, 4u}) {
-    for (BackendId Backend : {BackendId::Store, BackendId::Huffman}) {
+    for (BackendId Backend :
+         {BackendId::Store, BackendId::Huffman, BackendId::Arith}) {
       PackOptions Options;
       Options.Shards = Shards;
       Options.Backend = Backend;
