@@ -37,8 +37,10 @@ char vtypeChar(VType T) {
 }
 
 /// Builds the InsnTypes for the stack machine from the constant pool
-/// (what the packer derives from its model).
-InsnTypes typesFromPool(const ClassFile &CF, const Insn &I) {
+/// (what the packer derives from its model). An invoke's argument types
+/// go into \p Args, which the result's ArgTypes views.
+InsnTypes typesFromPool(const ClassFile &CF, const Insn &I,
+                        std::vector<VType> &Args) {
   InsnTypes T;
   if (!I.hasCpOperand() || !CF.CP.isValidIndex(I.CpIndex))
     return T;
@@ -65,9 +67,10 @@ InsnTypes typesFromPool(const ClassFile &CF, const Insn &I) {
   case CpRefKind::MethodSpecial:
   case CpRefKind::MethodStatic:
   case CpRefKind::MethodInterface:
-    if (E.Tag == CpTag::MethodRef || E.Tag == CpTag::InterfaceMethodRef)
-      vtypesOfMethodDescriptor(CF.CP.utf8(CF.CP.entry(E.Ref2).Ref2),
-                               T.ArgTypes, T.RetType);
+    if ((E.Tag == CpTag::MethodRef || E.Tag == CpTag::InterfaceMethodRef) &&
+        vtypesOfMethodDescriptor(CF.CP.utf8(CF.CP.entry(E.Ref2).Ref2), Args,
+                                 T.RetType))
+      T.ArgTypes = Args;
     break;
   default:
     break;
@@ -118,6 +121,7 @@ void disassemble(const ClassFile &CF, const CodeAttribute &Code) {
   }
   StackState State;
   State.startMethod();
+  std::vector<VType> Args;
   for (const Insn &I : *Insns) {
     std::string Operand;
     if (I.hasCpOperand())
@@ -135,7 +139,7 @@ void disassemble(const ClassFile &CF, const CodeAttribute &Code) {
     printf("      %4u: %-16s %-40s stack=%c%c\n", I.Offset,
            opInfo(I.Opcode).Mnemonic, Operand.c_str(),
            vtypeChar(State.top(1)), vtypeChar(State.top(0)));
-    InsnTypes T = typesFromPool(CF, I);
+    InsnTypes T = typesFromPool(CF, I, Args);
     State.apply(I, &T);
   }
 }

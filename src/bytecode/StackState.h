@@ -24,6 +24,7 @@
 
 #include "bytecode/Instruction.h"
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace cjpack {
@@ -33,12 +34,14 @@ enum class VType : uint8_t { Int, Long, Float, Double, Ref, Void, Unknown };
 
 /// Per-instruction type information the stack machine cannot derive from
 /// the opcode alone; supplied by the caller (which can see the constant
-/// pool or the packed model).
+/// pool or the packed model). It borrows the argument types: the storage
+/// behind ArgTypes (the packed model's per-method types, or the caller's
+/// own vector) must outlive every apply that reads the record.
 struct InsnTypes {
   /// Type of the constant loaded by ldc / ldc_w / ldc2_w.
   VType ConstType = VType::Unknown;
   /// Argument types of an invoked method (receiver excluded).
-  std::vector<VType> ArgTypes;
+  std::span<const VType> ArgTypes;
   /// Return type (VType::Void for void methods).
   VType RetType = VType::Void;
   /// Type of the field accessed by get/putfield, get/putstatic.

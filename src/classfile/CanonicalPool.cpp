@@ -89,15 +89,6 @@ int compareJoined(std::span<const std::string_view> A,
   }
 }
 
-uint64_t mix(uint64_t X) {
-  X ^= X >> 33;
-  X *= 0xFF51AFD7ED558CCDull;
-  X ^= X >> 33;
-  X *= 0xC4CEB9FE1A85EC53ull;
-  X ^= X >> 33;
-  return X;
-}
-
 } // namespace
 
 CanonicalPoolBuilder::CanonicalPoolBuilder(std::shared_ptr<Arena> Mem)
@@ -106,16 +97,18 @@ CanonicalPoolBuilder::CanonicalPoolBuilder(std::shared_ptr<Arena> Mem)
     this->Mem = std::make_shared<Arena>();
   // Sized for a typical class, so growth is rare.
   Items.reserve(256);
-  Slots.assign(512, Null);
+  Index.reserve(256);
   Items.emplace_back(); // Null: constant-pool index 0
 }
 
-size_t CanonicalPoolBuilder::hashOf(const Item &I) const {
+uint64_t CanonicalPoolBuilder::hashOf(const Item &I) const {
   if (I.E.Tag == CpTag::Utf8)
-    return std::hash<std::string_view>{}(I.E.Text);
-  uint64_t H = mix(static_cast<uint64_t>(I.E.Tag) ^ I.E.Bits);
-  return static_cast<size_t>(
-      mix(H ^ (static_cast<uint64_t>(I.R1) << 32 | I.R2)));
+    return Index.hash(I.E.Text);
+  return Index.hasher()
+      .word(static_cast<uint64_t>(I.R1) << 32 | I.R2)
+      .word(I.E.Bits)
+      .word(static_cast<uint64_t>(I.E.Tag))
+      .finish();
 }
 
 bool CanonicalPoolBuilder::sameContent(const Item &A, const Item &B) {
@@ -123,39 +116,17 @@ bool CanonicalPoolBuilder::sameContent(const Item &A, const Item &B) {
          A.R2 == B.R2 && A.E.Text == B.E.Text;
 }
 
-void CanonicalPoolBuilder::growIndex() {
-  std::vector<Ref> Old(std::max<size_t>(64, Slots.size() * 2), Null);
-  Old.swap(Slots);
-  size_t Mask = Slots.size() - 1;
-  for (Ref R : Old) {
-    if (R == Null)
-      continue;
-    size_t P = hashOf(Items[R]) & Mask;
-    while (Slots[P] != Null)
-      P = (P + 1) & Mask;
-    Slots[P] = R;
-  }
-}
-
-CanonicalPoolBuilder::Ref &CanonicalPoolBuilder::slotFor(const Item &Probe) {
-  if ((Indexed + 1) * 2 > Slots.size())
-    growIndex();
-  size_t Mask = Slots.size() - 1;
-  for (size_t P = hashOf(Probe) & Mask;; P = (P + 1) & Mask)
-    if (Slots[P] == Null || sameContent(Items[Slots[P]], Probe))
-      return Slots[P];
-}
-
 CanonicalPoolBuilder::Ref CanonicalPoolBuilder::add(Item Probe) {
-  Ref &Slot = slotFor(Probe);
-  if (Slot != Null)
-    return Slot;
+  Ref Next = static_cast<Ref>(Items.size());
+  Ref R = Index.insert(hashOf(Probe), Next, [&](Ref Id) {
+    return sameContent(Items[Id], Probe);
+  });
+  if (R != Next)
+    return R;
   if (Probe.E.Tag == CpTag::Utf8)
     Probe.E.Text = Mem->internString(Probe.E.Text);
-  Slot = static_cast<Ref>(Items.size());
   Items.push_back(Probe);
-  ++Indexed;
-  return Slot;
+  return R;
 }
 
 CanonicalPoolBuilder::Ref CanonicalPoolBuilder::utf8(std::string_view Text) {

@@ -25,12 +25,19 @@
 /// the final indices, and writes the class once; unpacking and
 /// prepareForPacking both build classes through it.
 ///
+/// Equal entries merge through a keyed IdIndex (support/IdIndex.h) over
+/// the builder's own entries, so a hostile class cannot choose entries
+/// that pile onto one probe chain. The index only deduplicates: handles
+/// follow add order and the pool order is the sort above, so no output
+/// byte depends on its key.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CJPACK_CLASSFILE_CANONICALPOOL_H
 #define CJPACK_CLASSFILE_CANONICALPOOL_H
 
 #include "classfile/ConstantPool.h"
+#include "support/IdIndex.h"
 
 namespace cjpack {
 
@@ -82,12 +89,8 @@ private:
     bool Ldc = false;
   };
 
-  /// The index slot holding an entry equal to \p Probe, else the empty
-  /// slot where it belongs (valid until the next add).
-  Ref &slotFor(const Item &Probe);
   Ref add(Item Probe);
-  void growIndex();
-  size_t hashOf(const Item &I) const;
+  uint64_t hashOf(const Item &I) const;
   static bool sameContent(const Item &A, const Item &B);
   /// The text of Utf8 entry \p R.
   std::string_view textOf(Ref R) const { return Items[R].E.Text; }
@@ -96,9 +99,8 @@ private:
 
   std::shared_ptr<Arena> Mem;
   std::vector<Item> Items;
-  /// Open-addressing dedup index over Items; Null marks an empty slot.
-  std::vector<Ref> Slots;
-  size_t Indexed = 0;
+  /// The dedup index over Items.
+  IdIndex Index;
 };
 
 } // namespace cjpack

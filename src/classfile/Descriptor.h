@@ -57,9 +57,13 @@ std::string printTypeDesc(const TypeDesc &T);
 /// Prints \p M back into descriptor syntax.
 std::string printMethodDesc(const MethodDesc &M);
 
-/// Stack-machine type of a value of type \p T (arrays and classes are
-/// Ref; B/C/S/Z/I are Int; V maps to Void).
-VType vtypeOf(const TypeDesc &T);
+/// Stack-machine type of a value of \p Dims array dimensions over base
+/// \p Base (arrays and classes are Ref; B/C/S/Z/I are Int; V maps to
+/// Void).
+VType vtypeOf(uint8_t Dims, char Base);
+
+/// Stack-machine type of a value of type \p T.
+inline VType vtypeOf(const TypeDesc &T) { return vtypeOf(T.Dims, T.Base); }
 
 /// Stack-machine type for a field descriptor string; Unknown on parse
 /// failure.

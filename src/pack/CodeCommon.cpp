@@ -29,7 +29,8 @@ InsnTypes cjpack::insnTypesFor(const Model &M, const Insn &I,
   case Op::InvokeStatic:
   case Op::InvokeInterface:
     assert(Operand.Kind == ConstKind::Method);
-    M.signatureVTypes(M.methodRef(Operand.Id).Sig, T.ArgTypes, T.RetType);
+    T.ArgTypes = M.methodArgVTypes(Operand.Id);
+    T.RetType = M.methodRetVType(Operand.Id);
     break;
   default:
     break;
@@ -37,11 +38,10 @@ InsnTypes cjpack::insnTypesFor(const Model &M, const Insn &I,
   return T;
 }
 
-unsigned cjpack::invokeInterfaceCount(const Model &M,
-                                      const std::vector<uint32_t> &Sig) {
+unsigned cjpack::invokeInterfaceCount(std::span<const VType> Args) {
   unsigned Count = 1; // the receiver
-  for (size_t I = 1; I < Sig.size(); ++I)
-    Count += vtypeWidth(M.classRefVType(Sig[I]));
+  for (VType T : Args)
+    Count += vtypeWidth(T);
   return Count;
 }
 

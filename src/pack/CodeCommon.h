@@ -20,6 +20,7 @@
 #include "coder/RefCoder.h"
 #include "pack/Model.h"
 #include <cstdint>
+#include <span>
 
 namespace cjpack {
 
@@ -100,7 +101,8 @@ inline VType constVType(ConstKind K) {
 }
 
 /// Builds the InsnTypes record the stack machine needs for \p I, using
-/// the model to resolve field types and method signatures.
+/// the model to resolve field types and method signatures. Its argument
+/// types are a span over \p M: apply it before \p M grows.
 InsnTypes insnTypesFor(const Model &M, const Insn &I,
                        const CodeOperand &Operand);
 
@@ -109,9 +111,9 @@ inline unsigned vtypeWidth(VType T) {
   return (T == VType::Long || T == VType::Double) ? 2 : 1;
 }
 
-/// The invokeinterface count operand, reconstructed from the signature.
-unsigned invokeInterfaceCount(const Model &M,
-                              const std::vector<uint32_t> &Sig);
+/// The invokeinterface count operand, reconstructed from the invoked
+/// method's argument types (Model::methodArgVTypes).
+unsigned invokeInterfaceCount(std::span<const VType> Args);
 
 /// The RefCoder pool for a method invocation opcode.
 PoolKind methodPoolFor(Op O);

@@ -5,26 +5,87 @@
 //===----------------------------------------------------------------------===//
 
 #include "pack/Dictionary.h"
+#include "support/IdIndex.h"
 #include "support/VarInt.h"
 #include "zip/Zlib.h"
-#include <map>
-#include <set>
+#include <algorithm>
 #include <tuple>
 
 using namespace cjpack;
 
 namespace {
 
-/// Value identity of a class reference, independent of any model's id
-/// assignment: (dims, base, package string, simple string). Strings are
-/// empty for non-'L' bases.
-using ClassRefKey = std::tuple<uint8_t, char, std::string, std::string>;
+/// Value identity of a class reference across models: dimensions, base,
+/// and for an 'L' base the value indices of its package and simple name
+/// in the dictionary build's string counts (0 otherwise).
+struct ClassRefKey {
+  uint8_t Dims = 0;
+  char Base = 'L';
+  uint32_t Package = 0;
+  uint32_t Simple = 0;
 
-ClassRefKey classRefKey(const Model &M, const MClassRef &R) {
-  if (R.Base != 'L')
-    return {R.Dims, R.Base, "", ""};
-  return {R.Dims, R.Base, M.package(R.Package), M.simpleName(R.Simple)};
+  bool operator==(const ClassRefKey &) const = default;
+};
+
+uint64_t hashOf(const IdIndex &Index, std::string_view S) {
+  return Index.hash(S);
 }
+
+uint64_t hashOf(const IdIndex &Index, const ClassRefKey &K) {
+  return Index.hasher()
+      .word(static_cast<uint64_t>(K.Package) << 32 | K.Simple)
+      .word(static_cast<uint64_t>(K.Dims) << 8 | static_cast<uint8_t>(K.Base))
+      .finish();
+}
+
+/// The distinct values of one pool across the shard models (strings as
+/// views into the models), each with the number of models holding it.
+template <typename Key> struct ValueCounts {
+  std::vector<Key> Values;
+  std::vector<unsigned> Counts;
+  IdIndex Index;
+
+  /// Counts \p K once more; returns its value index.
+  uint32_t count(const Key &K) {
+    uint32_t Next = static_cast<uint32_t>(Values.size());
+    uint32_t Id = Index.insert(hashOf(Index, K), Next,
+                               [&](uint32_t I) { return Values[I] == K; });
+    if (Id == Next) {
+      Values.push_back(K);
+      Counts.push_back(0);
+    }
+    ++Counts[Id];
+    return Id;
+  }
+
+  /// The value index of \p K, or IdIndex::None.
+  uint32_t find(const Key &K) const {
+    return Index.find(hashOf(Index, K),
+                      [&](uint32_t I) { return Values[I] == K; });
+  }
+
+  /// Keeps \p K out of the dictionary: the baseline seeds it.
+  void exclude(const Key &K) {
+    if (uint32_t I = find(K); I != IdIndex::None)
+      Counts[I] = 0;
+  }
+
+  /// The indices of the values two or more models hold, sorted by
+  /// \p Less on the values.
+  template <typename LessFn> std::vector<uint32_t> shared(LessFn Less) const {
+    std::vector<uint32_t> Out;
+    for (uint32_t I = 0; I < Counts.size(); ++I)
+      if (Counts[I] >= 2)
+        Out.push_back(I);
+    std::sort(Out.begin(), Out.end(), [&](uint32_t A, uint32_t B) {
+      return Less(Values[A], Values[B]);
+    });
+    return Out;
+  }
+
+  /// shared() in byte order (string values).
+  std::vector<uint32_t> shared() const { return shared(std::less<>()); }
+};
 
 /// Serialized body cap: a dictionary list longer than the body has
 /// bytes is corrupt (every entry costs at least one byte).
@@ -164,87 +225,113 @@ SharedDictionary::deserialize(ByteReader &R, const DecodeLimits &Limits,
 SharedDictionary
 cjpack::buildSharedDictionary(const std::vector<const Model *> &ShardModels,
                               const Model *Baseline) {
-  // How many shards intern each value. Keys are values, not ids, so the
-  // maps double as the deterministic (sorted) dictionary order.
-  std::map<std::string, unsigned> PkgN, SimpN, FldN, MthN, StrN;
-  std::map<ClassRefKey, unsigned> RefN;
+  // How many shards intern each value, keyed by value (never by a
+  // model's id), with every order fixed by the sorts below.
+  ValueCounts<std::string_view> Pkg, Simp, Fld, Mth, Str;
+  ValueCounts<ClassRefKey> Refs;
+  std::vector<uint32_t> PkgOf, SimpOf; // a model's ids -> value indices
+  auto RefKeyOf = [&](const MClassRef &R) {
+    ClassRefKey K{R.Dims, R.Base, 0, 0};
+    if (R.Base == 'L') {
+      K.Package = PkgOf[R.Package];
+      K.Simple = SimpOf[R.Simple];
+    }
+    return K;
+  };
   for (const Model *M : ShardModels) {
-    for (size_t I = 0; I < M->packageCount(); ++I)
-      ++PkgN[M->package(static_cast<uint32_t>(I))];
-    for (size_t I = 0; I < M->simpleNameCount(); ++I)
-      ++SimpN[M->simpleName(static_cast<uint32_t>(I))];
-    for (size_t I = 0; I < M->fieldNameCount(); ++I)
-      ++FldN[M->fieldName(static_cast<uint32_t>(I))];
-    for (size_t I = 0; I < M->methodNameCount(); ++I)
-      ++MthN[M->methodName(static_cast<uint32_t>(I))];
-    for (size_t I = 0; I < M->stringConstCount(); ++I)
-      ++StrN[M->stringConst(static_cast<uint32_t>(I))];
-    for (size_t I = 0; I < M->classRefCount(); ++I)
-      ++RefN[classRefKey(*M, M->classRef(static_cast<uint32_t>(I)))];
+    PkgOf.resize(M->packageCount());
+    for (uint32_t I = 0; I < PkgOf.size(); ++I)
+      PkgOf[I] = Pkg.count(M->package(I));
+    SimpOf.resize(M->simpleNameCount());
+    for (uint32_t I = 0; I < SimpOf.size(); ++I)
+      SimpOf[I] = Simp.count(M->simpleName(I));
+    for (uint32_t I = 0; I < M->fieldNameCount(); ++I)
+      Fld.count(M->fieldName(I));
+    for (uint32_t I = 0; I < M->methodNameCount(); ++I)
+      Mth.count(M->methodName(I));
+    for (uint32_t I = 0; I < M->stringConstCount(); ++I)
+      Str.count(M->stringConst(I));
+    for (uint32_t I = 0; I < M->classRefCount(); ++I)
+      Refs.count(RefKeyOf(M->classRef(I)));
   }
 
-  // Values the standard preload already seeds on both sides.
-  std::set<std::string> BasePkg, BaseSimp, BaseFld, BaseMth, BaseStr;
-  std::set<ClassRefKey> BaseRef;
+  // Values the standard preload already seeds on both sides. A baseline
+  // class ref whose strings no shard holds matches no shard's ref.
   if (Baseline) {
-    for (size_t I = 0; I < Baseline->packageCount(); ++I)
-      BasePkg.insert(Baseline->package(static_cast<uint32_t>(I)));
-    for (size_t I = 0; I < Baseline->simpleNameCount(); ++I)
-      BaseSimp.insert(Baseline->simpleName(static_cast<uint32_t>(I)));
-    for (size_t I = 0; I < Baseline->fieldNameCount(); ++I)
-      BaseFld.insert(Baseline->fieldName(static_cast<uint32_t>(I)));
-    for (size_t I = 0; I < Baseline->methodNameCount(); ++I)
-      BaseMth.insert(Baseline->methodName(static_cast<uint32_t>(I)));
-    for (size_t I = 0; I < Baseline->stringConstCount(); ++I)
-      BaseStr.insert(Baseline->stringConst(static_cast<uint32_t>(I)));
-    for (size_t I = 0; I < Baseline->classRefCount(); ++I)
-      BaseRef.insert(
-          classRefKey(*Baseline, Baseline->classRef(static_cast<uint32_t>(I))));
+    PkgOf.resize(Baseline->packageCount());
+    for (uint32_t I = 0; I < PkgOf.size(); ++I) {
+      PkgOf[I] = Pkg.find(Baseline->package(I));
+      Pkg.exclude(Baseline->package(I));
+    }
+    SimpOf.resize(Baseline->simpleNameCount());
+    for (uint32_t I = 0; I < SimpOf.size(); ++I) {
+      SimpOf[I] = Simp.find(Baseline->simpleName(I));
+      Simp.exclude(Baseline->simpleName(I));
+    }
+    for (uint32_t I = 0; I < Baseline->fieldNameCount(); ++I)
+      Fld.exclude(Baseline->fieldName(I));
+    for (uint32_t I = 0; I < Baseline->methodNameCount(); ++I)
+      Mth.exclude(Baseline->methodName(I));
+    for (uint32_t I = 0; I < Baseline->stringConstCount(); ++I)
+      Str.exclude(Baseline->stringConst(I));
+    for (uint32_t I = 0; I < Baseline->classRefCount(); ++I) {
+      ClassRefKey K = RefKeyOf(Baseline->classRef(I));
+      if (K.Package != IdIndex::None && K.Simple != IdIndex::None)
+        Refs.exclude(K);
+    }
   }
 
   SharedDictionary D;
-  std::map<std::string, uint32_t> PkgIdx, SimpIdx;
-  auto AddPkg = [&](const std::string &S) -> uint32_t {
-    auto [It, Fresh] =
-        PkgIdx.try_emplace(S, static_cast<uint32_t>(D.Packages.size()));
-    if (Fresh)
-      D.Packages.push_back(S);
-    return It->second;
+  std::vector<uint32_t> DictPkg(Pkg.Values.size(), IdIndex::None),
+      DictSimp(Simp.Values.size(), IdIndex::None);
+  auto AddPkg = [&](uint32_t V) {
+    if (DictPkg[V] == IdIndex::None) {
+      DictPkg[V] = static_cast<uint32_t>(D.Packages.size());
+      D.Packages.emplace_back(Pkg.Values[V]);
+    }
+    return DictPkg[V];
   };
-  auto AddSimp = [&](const std::string &S) -> uint32_t {
-    auto [It, Fresh] =
-        SimpIdx.try_emplace(S, static_cast<uint32_t>(D.Simples.size()));
-    if (Fresh)
-      D.Simples.push_back(S);
-    return It->second;
+  auto AddSimp = [&](uint32_t V) {
+    if (DictSimp[V] == IdIndex::None) {
+      DictSimp[V] = static_cast<uint32_t>(D.Simples.size());
+      D.Simples.emplace_back(Simp.Values[V]);
+    }
+    return DictSimp[V];
+  };
+  auto AddAll = [](const ValueCounts<std::string_view> &C,
+                   std::vector<std::string> &List) {
+    for (uint32_t V : C.shared())
+      List.emplace_back(C.Values[V]);
   };
 
-  for (const auto &[S, N] : PkgN)
-    if (N >= 2 && !BasePkg.count(S))
-      AddPkg(S);
-  for (const auto &[S, N] : SimpN)
-    if (N >= 2 && !BaseSimp.count(S))
-      AddSimp(S);
-  for (const auto &[S, N] : FldN)
-    if (N >= 2 && !BaseFld.count(S))
-      D.FieldNames.push_back(S);
-  for (const auto &[S, N] : MthN)
-    if (N >= 2 && !BaseMth.count(S))
-      D.MethodNames.push_back(S);
-  for (const auto &[S, N] : StrN)
-    if (N >= 2 && !BaseStr.count(S))
-      D.Strings.push_back(S);
-  for (const auto &[Key, N] : RefN) {
-    if (N < 2 || BaseRef.count(Key))
-      continue;
+  for (uint32_t V : Pkg.shared())
+    AddPkg(V);
+  for (uint32_t V : Simp.shared())
+    AddSimp(V);
+  AddAll(Fld, D.FieldNames);
+  AddAll(Mth, D.MethodNames);
+  AddAll(Str, D.Strings);
+  // Class refs in (dims, base, package, simple name) order; strings of
+  // a non-'L' base are empty.
+  auto Spelled = [&](const ClassRefKey &K) {
+    bool Named = K.Base == 'L';
+    return std::make_tuple(K.Dims, K.Base,
+                           Named ? Pkg.Values[K.Package] : std::string_view(),
+                           Named ? Simp.Values[K.Simple] : std::string_view());
+  };
+  for (uint32_t V : Refs.shared([&](const ClassRefKey &A,
+                                    const ClassRefKey &B) {
+         return Spelled(A) < Spelled(B);
+       })) {
+    const ClassRefKey &K = Refs.Values[V];
     DictClassRef Ref;
-    Ref.Dims = std::get<0>(Key);
-    Ref.Base = std::get<1>(Key);
-    if (Ref.Base == 'L') {
+    Ref.Dims = K.Dims;
+    Ref.Base = K.Base;
+    if (K.Base == 'L') {
       // The ref's strings may have been excluded as baseline values;
       // force them in so the index space is self-contained.
-      Ref.Package = AddPkg(std::get<2>(Key));
-      Ref.Simple = AddSimp(std::get<3>(Key));
+      Ref.Package = AddPkg(K.Package);
+      Ref.Simple = AddSimp(K.Simple);
     }
     D.ClassRefs.push_back(Ref);
   }

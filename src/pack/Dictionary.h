@@ -99,6 +99,12 @@ struct SharedDictionary {
 /// preload set; may be null) are skipped — they are seeded separately —
 /// except where a shared class reference needs its strings in the
 /// dictionary's index space.
+///
+/// Each pool's values are counted by value in a keyed IdIndex, strings
+/// as views into the shard models; only the values that qualify are
+/// copied out, sorted in byte order (strings) and in (dims, base,
+/// package, simple name) order (class refs). The lists are therefore
+/// independent of the index's key and of each model's id assignment.
 SharedDictionary
 buildSharedDictionary(const std::vector<const Model *> &ShardModels,
                       const Model *Baseline);

@@ -246,7 +246,7 @@ private:
     if (!Sig)
       return Sig.takeError();
     Ref.Sig = std::move(*Sig);
-    Out.RefId = M.internMethodRef(Ref);
+    Out.RefId = M.internMethodRef(std::move(Ref));
 
     if (Exceptions) {
       ByteReader ER(Exceptions->Bytes);
@@ -307,7 +307,7 @@ private:
       // from the signature, so the record holds the derived count.
       if (I.Opcode == Op::InvokeInterface)
         I.InvokeCount = static_cast<uint8_t>(
-            invokeInterfaceCount(M, M.methodRef(Operand->Id).Sig));
+            invokeInterfaceCount(M.methodArgVTypes(Operand->Id)));
       Out.Operands.push_back(*Operand);
     }
     return Error::success();
@@ -411,7 +411,7 @@ private:
         return Sig.takeError();
       Ref.Sig = std::move(*Sig);
       Out.Kind = ConstKind::Method;
-      Out.Id = M.internMethodRef(Ref);
+      Out.Id = M.internMethodRef(std::move(Ref));
       return Out;
     }
     }
@@ -554,7 +554,7 @@ ShardPlan remapPlanForDictionary(ShardPlan Plan,
     R.Name = MthMap[R.Name];
     for (uint32_t &C : R.Sig)
       C = CMap[C];
-    MMap[I] = M2.internMethodRef(R);
+    MMap[I] = M2.internMethodRef(std::move(R));
   }
 
   Plan.Stats.forEachCount([&](uint32_t Pool, uint32_t Object,

@@ -9,10 +9,11 @@
 using namespace cjpack;
 
 void cjpack::splitClassName(std::string_view Internal,
-                            std::string &Package, std::string &Simple) {
+                            std::string_view &Package,
+                            std::string_view &Simple) {
   size_t Slash = Internal.rfind('/');
   if (Slash == std::string_view::npos) {
-    Package.clear();
+    Package = {};
     Simple = Internal;
   } else {
     Package = Internal.substr(0, Slash);
@@ -22,42 +23,111 @@ void cjpack::splitClassName(std::string_view Internal,
 
 namespace {
 
-template <typename MapT, typename VecT, typename KeyT>
-uint32_t internInto(MapT &Ids, VecT &Items, const KeyT &Key) {
-  auto It = Ids.find(Key);
-  if (It != Ids.end())
-    return It->second;
-  uint32_t Id = static_cast<uint32_t>(Items.size());
-  Items.emplace_back(Key);
-  Ids.emplace(Key, Id);
+/// \name Hashes of the reference pools' keys, under \p Index's key
+/// @{
+uint64_t hashOf(const IdIndex &Index, const MClassRef &R) {
+  return Index.hasher()
+      .word(static_cast<uint64_t>(R.Package) << 32 | R.Simple)
+      .word(static_cast<uint64_t>(R.Dims) << 8 | static_cast<uint8_t>(R.Base))
+      .finish();
+}
+
+uint64_t hashOf(const IdIndex &Index, const MFieldRef &R) {
+  return Index.hasher()
+      .word(static_cast<uint64_t>(R.Owner) << 32 | R.Name)
+      .word(R.Type)
+      .finish();
+}
+
+uint64_t hashOf(const IdIndex &Index, const MMethodRef &R) {
+  SipHasher H = Index.hasher();
+  H.word(static_cast<uint64_t>(R.Owner) << 32 | R.Name).word(R.Sig.size());
+  size_t K = 0;
+  for (; K + 1 < R.Sig.size(); K += 2)
+    H.word(static_cast<uint64_t>(R.Sig[K]) << 32 | R.Sig[K + 1]);
+  if (K < R.Sig.size())
+    H.word(R.Sig[K]);
+  return H.finish();
+}
+/// @}
+
+/// The id of the value equal to \p V in \p Values, else the next id,
+/// under which \p V is added.
+template <typename T, typename U>
+uint32_t internInto(IdIndex &Index, std::vector<T> &Values, U &&V) {
+  uint32_t Next = static_cast<uint32_t>(Values.size());
+  uint32_t Id = Index.insert(hashOf(Index, V), Next,
+                             [&](uint32_t I) { return Values[I] == V; });
+  if (Id == Next)
+    Values.push_back(std::forward<U>(V));
   return Id;
 }
 
 } // namespace
 
+uint32_t Model::StringPool::intern(std::string_view S) {
+  uint32_t Next = static_cast<uint32_t>(Values.size());
+  uint32_t Id = Index.insert(Index.hash(S), Next,
+                             [&](uint32_t I) { return Values[I] == S; });
+  if (Id == Next)
+    Values.emplace_back(S);
+  return Id;
+}
+
+uint32_t Model::StringPool::append(std::string &&S) {
+  uint32_t Next = static_cast<uint32_t>(Values.size());
+  uint32_t Id = Index.insert(Index.hash(S), Next,
+                             [&](uint32_t I) { return Values[I] == S; });
+  if (Id == Next)
+    Values.push_back(std::move(S));
+  return Id;
+}
+
 uint32_t Model::internPackage(std::string_view Name) {
-  return internInto(PackageIds, Packages, Name);
+  return Packages.intern(Name);
 }
 uint32_t Model::internSimpleName(std::string_view Name) {
-  return internInto(SimpleIds, Simples, Name);
+  return Simples.intern(Name);
 }
 uint32_t Model::internFieldName(std::string_view Name) {
-  return internInto(FieldNameIds, FieldNames, Name);
+  return FieldNames.intern(Name);
 }
 uint32_t Model::internMethodName(std::string_view Name) {
-  return internInto(MethodNameIds, MethodNames, Name);
+  return MethodNames.intern(Name);
 }
 uint32_t Model::internStringConst(std::string_view Value) {
-  return internInto(StringIds, Strings, Value);
+  return Strings.intern(Value);
 }
 uint32_t Model::internClassRef(const MClassRef &Ref) {
-  return internInto(ClassRefIds, ClassRefs, Ref);
+  return internInto(ClassRefIndex, ClassRefs, Ref);
 }
 uint32_t Model::internFieldRef(const MFieldRef &Ref) {
-  return internInto(FieldRefIds, FieldRefs, Ref);
+  return internInto(FieldRefIndex, FieldRefs, Ref);
 }
 uint32_t Model::internMethodRef(const MMethodRef &Ref) {
-  return internInto(MethodRefIds, MethodRefs, Ref);
+  size_t Before = MethodRefs.size();
+  uint32_t Id = internInto(MethodRefIndex, MethodRefs, Ref);
+  if (MethodRefs.size() != Before)
+    noteMethodTypes(MethodRefs.back());
+  return Id;
+}
+uint32_t Model::internMethodRef(MMethodRef &&Ref) {
+  size_t Before = MethodRefs.size();
+  uint32_t Id = internInto(MethodRefIndex, MethodRefs, std::move(Ref));
+  if (MethodRefs.size() != Before)
+    noteMethodTypes(MethodRefs.back());
+  return Id;
+}
+
+void Model::noteMethodTypes(const MMethodRef &Ref) {
+  MethodTypes T;
+  T.ArgStart = static_cast<uint32_t>(ArgVTypes.size());
+  if (!Ref.Sig.empty())
+    T.Ret = classRefVType(Ref.Sig[0]);
+  for (size_t K = 1; K < Ref.Sig.size(); ++K)
+    ArgVTypes.push_back(classRefVType(Ref.Sig[K]));
+  T.ArgCount = static_cast<uint32_t>(ArgVTypes.size()) - T.ArgStart;
+  MethodRefTypes.push_back(T);
 }
 
 Expected<uint32_t>
@@ -77,16 +147,16 @@ Expected<uint32_t> Model::internTypeDesc(const TypeDesc &T) {
 
 Expected<uint32_t> Model::internClass(uint8_t Dims, char Base,
                                       std::string_view Name) {
-  MClassRef Ref;
-  Ref.Dims = Dims;
-  Ref.Base = Base;
-  std::string Package, Simple;
+  std::string_view Package, Simple;
   if (Base == 'L')
     splitClassName(Name, Package, Simple);
   if (!isWellFormedClassRef(Dims, Base, Package, Simple))
     return makeError(ErrorCode::Corrupt,
                      "pack: malformed class name '" + std::string(Name) +
                          "'");
+  MClassRef Ref;
+  Ref.Dims = Dims;
+  Ref.Base = Base;
   if (Base == 'L') {
     Ref.Package = internPackage(Package);
     Ref.Simple = internSimpleName(Simple);
@@ -133,19 +203,19 @@ Model::internSignature(std::string_view Desc) {
 }
 
 uint32_t Model::appendPackage(std::string Name) {
-  return internPackage(Name);
+  return Packages.append(std::move(Name));
 }
 uint32_t Model::appendSimpleName(std::string Name) {
-  return internSimpleName(Name);
+  return Simples.append(std::move(Name));
 }
 uint32_t Model::appendFieldName(std::string Name) {
-  return internFieldName(Name);
+  return FieldNames.append(std::move(Name));
 }
 uint32_t Model::appendMethodName(std::string Name) {
-  return internMethodName(Name);
+  return MethodNames.append(std::move(Name));
 }
 uint32_t Model::appendStringConst(std::string Value) {
-  return internStringConst(Value);
+  return Strings.append(std::move(Value));
 }
 uint32_t Model::appendClassRef(const MClassRef &Ref) {
   return internClassRef(Ref);
@@ -154,7 +224,7 @@ uint32_t Model::appendFieldRef(MFieldRef Ref) {
   return internFieldRef(Ref);
 }
 uint32_t Model::appendMethodRef(MMethodRef Ref) {
-  return internMethodRef(Ref);
+  return internMethodRef(std::move(Ref));
 }
 
 TypeDesc Model::classRefTypeDesc(uint32_t Id) const {
@@ -186,17 +256,4 @@ Model::signatureDescriptor(const std::vector<uint32_t> &Sig) const {
   for (size_t I = 1; I < Sig.size(); ++I)
     M.Params.push_back(classRefTypeDesc(Sig[I]));
   return printMethodDesc(M);
-}
-
-void Model::signatureVTypes(const std::vector<uint32_t> &Sig,
-                            std::vector<VType> &Args, VType &Ret) const {
-  assert(!Sig.empty() && "signature must contain a return type");
-  Ret = classRefVType(Sig[0]);
-  Args.clear();
-  for (size_t I = 1; I < Sig.size(); ++I)
-    Args.push_back(classRefVType(Sig[I]));
-}
-
-VType Model::classRefVType(uint32_t Id) const {
-  return vtypeOf(classRefTypeDesc(Id));
 }

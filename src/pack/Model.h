@@ -16,6 +16,19 @@
 /// order); ids correspond across the two sides because both perform the
 /// identical traversal.
 ///
+/// Each pool is a vector of values in id order plus a keyed IdIndex
+/// (support/IdIndex.h) over it, so a value is stored once. Interning
+/// hashes the probe in place: a class name is split into views of its
+/// package and simple name, and a method reference's key is compared
+/// against the stored signature, so a lookup that finds its value
+/// builds no string or vector. Every pool's index has its own hash key;
+/// ids follow first-intern order alone, so no id depends on a key.
+///
+/// A method reference's stack-machine types (return and arguments) are
+/// computed once, when it enters the pool; the per-instruction stack
+/// queries of the counting, emitting and decoding passes read them as
+/// spans.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CJPACK_PACK_MODEL_H
@@ -24,8 +37,9 @@
 #include "classfile/ClassFile.h"
 #include "classfile/Descriptor.h"
 #include "support/Error.h"
+#include "support/IdIndex.h"
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,10 +96,7 @@ struct MClassRef {
   uint32_t Package = 0;
   uint32_t Simple = 0;
 
-  bool operator<(const MClassRef &O) const {
-    return std::tie(Dims, Base, Package, Simple) <
-           std::tie(O.Dims, O.Base, O.Package, O.Simple);
-  }
+  bool operator==(const MClassRef &) const = default;
 };
 
 /// A field reference: owner class, field name, field type.
@@ -94,9 +105,7 @@ struct MFieldRef {
   uint32_t Name = 0;
   uint32_t Type = 0;
 
-  bool operator<(const MFieldRef &O) const {
-    return std::tie(Owner, Name, Type) < std::tie(O.Owner, O.Name, O.Type);
-  }
+  bool operator==(const MFieldRef &) const = default;
 };
 
 /// A method reference: owner class, method name, signature as class
@@ -106,15 +115,15 @@ struct MMethodRef {
   uint32_t Name = 0;
   std::vector<uint32_t> Sig;
 
-  bool operator<(const MMethodRef &O) const {
-    return std::tie(Owner, Name, Sig) < std::tie(O.Owner, O.Name, O.Sig);
-  }
+  bool operator==(const MMethodRef &) const = default;
 };
 
 /// Interned pools for the restructured format.
 class Model {
 public:
   /// \name Interning (compressor side; idempotent)
+  /// Each returns the id of an equal value already in the pool, else
+  /// adds the value under the next id. Text may be transient.
   /// @{
   uint32_t internPackage(std::string_view Name);
   uint32_t internSimpleName(std::string_view Name);
@@ -124,6 +133,7 @@ public:
   uint32_t internClassRef(const MClassRef &Ref);
   uint32_t internFieldRef(const MFieldRef &Ref);
   uint32_t internMethodRef(const MMethodRef &Ref);
+  uint32_t internMethodRef(MMethodRef &&Ref);
 
   /// Interns the class named by a Class constant-pool entry's name,
   /// which may be a plain internal name or an array descriptor.
@@ -137,6 +147,8 @@ public:
   /// @}
 
   /// \name Appending (decompressor side: ids assigned in decode order)
+  /// Like interning, a value already in the pool keeps its id (a hostile
+  /// archive may define a value twice); a new value is moved in.
   /// @{
   uint32_t appendPackage(std::string Name);
   uint32_t appendSimpleName(std::string Name);
@@ -184,31 +196,63 @@ public:
   /// Descriptor string of the signature [ret, args...] in \p Sig.
   std::string signatureDescriptor(const std::vector<uint32_t> &Sig) const;
 
-  /// Stack-machine types of \p Sig (arguments and return).
-  void signatureVTypes(const std::vector<uint32_t> &Sig,
-                       std::vector<VType> &Args, VType &Ret) const;
+  /// Stack-machine type of the value of class ref \p Id (from its
+  /// dimensions and base alone).
+  VType classRefVType(uint32_t Id) const {
+    const MClassRef &Ref = ClassRefs[Id];
+    return vtypeOf(Ref.Dims, Ref.Base);
+  }
 
-  /// Stack-machine type of the value of class ref \p Id.
-  VType classRefVType(uint32_t Id) const;
+  /// Stack-machine types of method ref \p Id's arguments, receiver
+  /// excluded: a span over the model, valid until the next intern or
+  /// append.
+  std::span<const VType> methodArgVTypes(uint32_t Id) const {
+    const MethodTypes &T = MethodRefTypes[Id];
+    return {ArgVTypes.data() + T.ArgStart, T.ArgCount};
+  }
+
+  /// Stack-machine type method ref \p Id returns (Void for void).
+  VType methodRetVType(uint32_t Id) const { return MethodRefTypes[Id].Ret; }
 
 private:
+  /// Strings with dense ids, in first-intern order.
+  class StringPool {
+  public:
+    uint32_t intern(std::string_view S);
+    uint32_t append(std::string &&S);
+    const std::string &operator[](uint32_t Id) const { return Values[Id]; }
+    size_t size() const { return Values.size(); }
+
+  private:
+    std::vector<std::string> Values;
+    IdIndex Index;
+  };
+
+  /// Where method ref Id's argument types sit in ArgVTypes, and the
+  /// type it returns.
+  struct MethodTypes {
+    uint32_t ArgStart = 0;
+    uint32_t ArgCount = 0;
+    VType Ret = VType::Void;
+  };
+
+  /// Records the stack-machine types of \p Ref, the method ref just
+  /// added.
+  void noteMethodTypes(const MMethodRef &Ref);
+
   /// Interns \p Dims dimensions over \p Base (class \p Name for 'L');
   /// Corrupt unless isWellFormedClassRef, so every class ref the encoder
   /// defines is one the decoder accepts.
   Expected<uint32_t> internClass(uint8_t Dims, char Base,
                                  std::string_view Name);
 
-  std::vector<std::string> Packages, Simples, FieldNames, MethodNames,
-      Strings;
+  StringPool Packages, Simples, FieldNames, MethodNames, Strings;
   std::vector<MClassRef> ClassRefs;
   std::vector<MFieldRef> FieldRefs;
   std::vector<MMethodRef> MethodRefs;
-
-  std::map<std::string, uint32_t, std::less<>> PackageIds, SimpleIds,
-      FieldNameIds, MethodNameIds, StringIds;
-  std::map<MClassRef, uint32_t> ClassRefIds;
-  std::map<MFieldRef, uint32_t> FieldRefIds;
-  std::map<MMethodRef, uint32_t> MethodRefIds;
+  IdIndex ClassRefIndex, FieldRefIndex, MethodRefIndex;
+  std::vector<MethodTypes> MethodRefTypes;
+  std::vector<VType> ArgVTypes;
 };
 
 /// Whether a class ref of \p Dims dimensions over \p Base (named
@@ -219,10 +263,10 @@ private:
 bool isWellFormedClassRef(uint8_t Dims, char Base, std::string_view Package,
                           std::string_view Simple);
 
-/// Splits an internal class name into package and simple name ("" for
-/// the default package).
-void splitClassName(std::string_view Internal, std::string &Package,
-                    std::string &Simple);
+/// Splits an internal class name into views of its package and simple
+/// name (an empty package for the default package).
+void splitClassName(std::string_view Internal, std::string_view &Package,
+                    std::string_view &Simple);
 
 } // namespace cjpack
 

@@ -1075,7 +1075,7 @@ private:
       // function of the signature.
       if (I.Opcode == Op::InvokeInterface)
         I.InvokeCount = static_cast<uint8_t>(
-            invokeInterfaceCount(C.M, C.M.methodRef(Operand.Id).Sig));
+            invokeInterfaceCount(C.M.methodArgVTypes(Operand.Id)));
     }
     return Error::success();
   }

@@ -274,8 +274,9 @@ TEST(StackState, InvokeUsesSignatureTypes) {
   S.apply(C, nullptr);
   Insn Call;
   Call.Opcode = Op::InvokeVirtual;
+  const VType Args[] = {VType::Int};
   InsnTypes T;
-  T.ArgTypes = {VType::Int};
+  T.ArgTypes = Args;
   T.RetType = VType::Long;
   S.apply(Call, &T);
   EXPECT_TRUE(S.isKnown());

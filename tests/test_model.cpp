@@ -17,7 +17,7 @@
 using namespace cjpack;
 
 TEST(Model, SplitClassName) {
-  std::string Pkg, Simple;
+  std::string_view Pkg, Simple;
   splitClassName("java/lang/String", Pkg, Simple);
   EXPECT_EQ(Pkg, "java/lang");
   EXPECT_EQ(Simple, "String");
@@ -85,14 +85,17 @@ TEST(Model, SignatureFactorsAndReprints) {
   ASSERT_TRUE(static_cast<bool>(Sig));
   ASSERT_EQ(Sig->size(), 4u); // return + 3 params
   EXPECT_EQ(M.signatureDescriptor(*Sig), Desc);
-  std::vector<VType> Args;
-  VType Ret = VType::Void;
-  M.signatureVTypes(*Sig, Args, Ret);
+  MMethodRef Ref;
+  Ref.Owner = *M.internClassByInternalName("a/B");
+  Ref.Name = M.internMethodName("m");
+  Ref.Sig = *Sig;
+  uint32_t Id = M.internMethodRef(Ref);
+  std::span<const VType> Args = M.methodArgVTypes(Id);
   ASSERT_EQ(Args.size(), 3u);
   EXPECT_EQ(Args[0], VType::Int);
   EXPECT_EQ(Args[1], VType::Ref);
   EXPECT_EQ(Args[2], VType::Ref);
-  EXPECT_EQ(Ret, VType::Ref);
+  EXPECT_EQ(M.methodRetVType(Id), VType::Ref);
 }
 
 TEST(Model, SignatureSharingAcrossMethods) {
