@@ -4,12 +4,14 @@
 //
 // Microbenchmarks of the hot substrates: the indexed-skiplist MTF queue
 // from both sides (the paper's O(log k) move-to-front, §5), the §6
-// integer codecs, the arithmetic coder, pack's compression stage, and
-// end-to-end pack/unpack on a small corpus.
+// integer codecs, the arithmetic coder, pack's model layer (prepare, and
+// pack without deflate) and compression stage, and end-to-end
+// pack/unpack on a small corpus.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "classfile/Reader.h"
 #include "coder/Arithmetic.h"
 #include "corpus/Rng.h"
 #include "mtf/MtfQueue.h"
@@ -117,9 +119,38 @@ const BenchData &microCorpus() {
 
 namespace {
 
-/// Pack's compression batch for one e2ebench-sized jar: the first 250
-/// classes of scaleBenchmark(2000) at seed 9001, as 4 shards' streams
-/// plus the dictionary frame body that deflates beside them.
+/// One e2ebench-sized jar: the first 250 classes of scaleBenchmark(2000)
+/// at seed 9001.
+const std::vector<NamedClass> &jarClasses() {
+  static std::vector<NamedClass> Jar = [] {
+    CorpusSpec Spec = scaleBenchmark(2000);
+    Spec.Seed = 9001;
+    std::vector<NamedClass> Classes = generateCorpus(Spec);
+    Classes.resize(250);
+    return Classes;
+  }();
+  return Jar;
+}
+
+/// The jar's classes, parsed.
+const std::vector<ClassFile> &jarParsed() {
+  static std::vector<ClassFile> Parsed = [] {
+    std::vector<ClassFile> Out;
+    for (const NamedClass &C : jarClasses()) {
+      auto CF = parseClassFile(C.Data);
+      if (!CF) {
+        fprintf(stderr, "bench_micro: %s\n", CF.message().c_str());
+        exit(1);
+      }
+      Out.push_back(std::move(*CF));
+    }
+    return Out;
+  }();
+  return Parsed;
+}
+
+/// Pack's compression batch for the jar, as 4 shards' streams plus the
+/// dictionary frame body that deflates beside them.
 struct JarBatch {
   std::vector<StreamSet> Shards;
   std::vector<uint8_t> DictBody;
@@ -128,14 +159,10 @@ struct JarBatch {
 
 const JarBatch &jarBatch() {
   static JarBatch B = [] {
-    CorpusSpec Spec = scaleBenchmark(2000);
-    Spec.Seed = 9001;
-    std::vector<NamedClass> Jar = generateCorpus(Spec);
-    Jar.resize(250);
     PackOptions O;
     O.Shards = 4;
     O.CompressStreams = false;
-    auto P = packClassBytes(Jar, O);
+    auto P = packClassBytes(jarClasses(), O);
     // The stored archive reads back into the shards' raw streams.
     ByteReader R(P->Archive);
     auto H = readArchiveHeader(R);
@@ -177,6 +204,50 @@ static void BM_CompressStreams(benchmark::State &State) {
                           static_cast<int64_t>(B.RawBytes));
 }
 BENCHMARK(BM_CompressStreams)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+static void BM_PrepareClasses(benchmark::State &State) {
+  // The canonical form (§12) of every class of the jar, on one thread:
+  // lowering into a per-class model, then materializing through the
+  // canonical pool builder.
+  const std::vector<ClassFile> &Parsed = jarParsed();
+  std::vector<ClassFile> Work;
+  for (auto _ : State) {
+    State.PauseTiming();
+    Work = Parsed; // untimed: the copy, and freeing the last round
+    State.ResumeTiming();
+    for (ClassFile &CF : Work)
+      if (prepareForPacking(CF))
+        State.SkipWithError("prepare failed");
+    benchmark::DoNotOptimize(Work);
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Parsed.size()));
+}
+BENCHMARK(BM_PrepareClasses)->Unit(benchmark::kMillisecond);
+
+static void BM_PackUncompressed(benchmark::State &State) {
+  // Pack's model layer without deflate: lowering and counting per shard,
+  // the serial dictionary build, and the emitting pass, for the jar as 4
+  // shards on range(0) threads.
+  const std::vector<ClassFile> &Parsed = jarParsed();
+  PackOptions O;
+  O.Shards = 4;
+  O.CompressStreams = false;
+  O.Threads = static_cast<unsigned>(State.range(0));
+  for (auto _ : State) {
+    auto P = packClasses(Parsed, O);
+    if (!P)
+      State.SkipWithError("pack failed");
+    benchmark::DoNotOptimize(P);
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Parsed.size()));
+}
+BENCHMARK(BM_PackUncompressed)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)

@@ -12,7 +12,8 @@
 // itself, must then survive a compress→decompress round trip on every
 // backend byte-identically: the differential oracle that keeps the four
 // codecs interchangeable. The input length picks the stream the tail is
-// compressed as, so every per-stream deflate setting gets fuzzed.
+// compressed as, and the reference scheme that wrote it, so every deflate
+// setting gets fuzzed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +30,8 @@ namespace {
 constexpr size_t FuzzRawCap = 1 << 16;
 
 void roundTripOrDie(const CompressionBackend &B, StreamId Stream,
-                    const std::vector<uint8_t> &Raw) {
-  std::vector<uint8_t> Stored = B.Compress(Raw, Stream);
+                    RefScheme Scheme, const std::vector<uint8_t> &Raw) {
+  std::vector<uint8_t> Stored = B.Compress(Raw, Stream, Scheme);
   auto Back = B.Decompress(Stored, Raw.size());
   if (!Back || *Back != Raw)
     abort(); // a backend that cannot read its own output is a bug
@@ -46,6 +47,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   if (Tail.size() > FuzzRawCap)
     Tail.resize(FuzzRawCap);
   StreamId Stream = static_cast<StreamId>(Size % NumStreams);
+  RefScheme Scheme = static_cast<RefScheme>(
+      Size / NumStreams %
+      (static_cast<unsigned>(RefScheme::MtfTransientsContext) + 1));
 
   if (const CompressionBackend *B = findBackend(Data[0])) {
     auto Raw = B->Decompress(Tail, FuzzRawCap);
@@ -53,13 +57,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
       if (Raw->size() > FuzzRawCap)
         abort(); // decompressor ignored the declared cap
       // Anything a backend decodes must re-encode losslessly.
-      roundTripOrDie(*B, Stream, *Raw);
+      roundTripOrDie(*B, Stream, Scheme, *Raw);
     } else if (Raw.code() == ErrorCode::Other) {
       abort(); // decode failure escaped the taxonomy
     }
   }
 
   for (const CompressionBackend &B : allBackends())
-    roundTripOrDie(B, Stream, Tail);
+    roundTripOrDie(B, Stream, Scheme, Tail);
   return 0;
 }

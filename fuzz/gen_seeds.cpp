@@ -207,7 +207,8 @@ int main(int Argc, char **Argv) {
     for (const CompressionBackend &B : allBackends()) {
       std::vector<uint8_t> Seed;
       Seed.push_back(static_cast<uint8_t>(B.Id));
-      std::vector<uint8_t> Stored = B.Compress(Sample, StreamId::Counts);
+      std::vector<uint8_t> Stored = B.Compress(
+          Sample, StreamId::Counts, RefScheme::MtfTransientsContext);
       Seed.insert(Seed.end(), Stored.begin(), Stored.end());
       writeSeed(Out / "fuzz_backend", std::string(B.Name) + ".bin", Seed);
     }

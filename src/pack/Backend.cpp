@@ -14,7 +14,8 @@ using namespace cjpack;
 
 namespace {
 
-std::vector<uint8_t> storeCompress(std::span<const uint8_t> Raw, StreamId) {
+std::vector<uint8_t> storeCompress(std::span<const uint8_t> Raw, StreamId,
+                                   RefScheme) {
   return {Raw.begin(), Raw.end()};
 }
 
@@ -28,8 +29,8 @@ storeDecompress(std::span<const uint8_t> Stored, size_t DeclaredRaw) {
 }
 
 std::vector<uint8_t> zlibCompress(std::span<const uint8_t> Raw,
-                                  StreamId Stream) {
-  return deflateBytes(Raw, deflateSetting(Stream));
+                                  StreamId Stream, RefScheme Scheme) {
+  return deflateBytes(Raw, deflateSetting(Stream, Scheme));
 }
 
 Expected<std::vector<uint8_t>>
@@ -38,12 +39,12 @@ zlibDecompress(std::span<const uint8_t> Stored, size_t DeclaredRaw) {
 }
 
 std::vector<uint8_t> huffmanStreamCompress(std::span<const uint8_t> Raw,
-                                           StreamId) {
+                                           StreamId, RefScheme) {
   return huffmanCompress(Raw);
 }
 
 std::vector<uint8_t> arithStreamCompress(std::span<const uint8_t> Raw,
-                                         StreamId) {
+                                         StreamId, RefScheme) {
   return arithCompressBytes(Raw);
 }
 

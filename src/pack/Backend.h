@@ -13,8 +13,9 @@
 /// Wire ids (the per-stream method byte):
 ///
 ///   0  store    bytes pass through unchanged
-///   1  zlib     raw deflate, the default, with per-stream deflate
-///               settings (deflateSetting in pack/Streams.h)
+///   1  zlib     raw deflate, the default, with a deflate setting per
+///               stream and reference scheme (deflateSetting in
+///               pack/Streams.h)
 ///   2  huffman  canonical Huffman (coder/Huffman.h)
 ///   3  arith    adaptive arithmetic coder (coder/Arithmetic.h)
 ///
@@ -49,6 +50,10 @@ namespace cjpack {
 /// compressor is told which stream it compresses.
 enum class StreamId : uint8_t;
 
+/// The reference schemes (defined in coder/RefCoder.h). A backend's
+/// compressor is told which scheme wrote the stream.
+enum class RefScheme : uint8_t;
+
 /// Registered backend ids. Values are the wire method bytes.
 enum class BackendId : uint8_t {
   Store = 0,
@@ -75,8 +80,9 @@ constexpr const char *backendName(BackendId Id) {
 
 /// One registered backend. Compress is infallible (worst case the
 /// encoder's smaller-than-raw check discards the result) and takes the
-/// stream it compresses: zlib picks that stream's deflate setting, the
-/// others ignore it. The setting is the encoder's alone; Decompress
+/// stream it compresses and the reference scheme that wrote it: zlib
+/// picks the deflate setting for the pair, the others ignore both. The
+/// setting is the encoder's alone; Decompress
 /// reads any of them. Decompress must cap its output at
 /// max(DeclaredRaw, 1) bytes and fail with typed
 /// Truncated/Corrupt/LimitExceeded errors on hostile input. Both sides
@@ -86,7 +92,7 @@ struct CompressionBackend {
   BackendId Id;
   const char *Name;
   std::vector<uint8_t> (*Compress)(std::span<const uint8_t> Raw,
-                                   StreamId Stream);
+                                   StreamId Stream, RefScheme Scheme);
   Expected<std::vector<uint8_t>> (*Decompress)(std::span<const uint8_t> Stored,
                                                size_t DeclaredRaw);
 };

@@ -64,10 +64,13 @@ template <typename Key> struct ValueCounts {
                       [&](uint32_t I) { return Values[I] == K; });
   }
 
-  /// Keeps \p K out of the dictionary: the baseline seeds it.
-  void exclude(const Key &K) {
-    if (uint32_t I = find(K); I != IdIndex::None)
+  /// Keeps \p K out of the dictionary (the baseline seeds it); returns
+  /// its value index, or IdIndex::None.
+  uint32_t exclude(const Key &K) {
+    uint32_t I = find(K);
+    if (I != IdIndex::None)
       Counts[I] = 0;
+    return I;
   }
 
   /// The indices of the values two or more models hold, sorted by
@@ -259,15 +262,11 @@ cjpack::buildSharedDictionary(const std::vector<const Model *> &ShardModels,
   // class ref whose strings no shard holds matches no shard's ref.
   if (Baseline) {
     PkgOf.resize(Baseline->packageCount());
-    for (uint32_t I = 0; I < PkgOf.size(); ++I) {
-      PkgOf[I] = Pkg.find(Baseline->package(I));
-      Pkg.exclude(Baseline->package(I));
-    }
+    for (uint32_t I = 0; I < PkgOf.size(); ++I)
+      PkgOf[I] = Pkg.exclude(Baseline->package(I));
     SimpOf.resize(Baseline->simpleNameCount());
-    for (uint32_t I = 0; I < SimpOf.size(); ++I) {
-      SimpOf[I] = Simp.find(Baseline->simpleName(I));
-      Simp.exclude(Baseline->simpleName(I));
-    }
+    for (uint32_t I = 0; I < SimpOf.size(); ++I)
+      SimpOf[I] = Simp.exclude(Baseline->simpleName(I));
     for (uint32_t I = 0; I < Baseline->fieldNameCount(); ++I)
       Fld.exclude(Baseline->fieldName(I));
     for (uint32_t I = 0; I < Baseline->methodNameCount(); ++I)

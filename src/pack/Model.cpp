@@ -23,8 +23,12 @@ void cjpack::splitClassName(std::string_view Internal,
 
 namespace {
 
-/// \name Hashes of the reference pools' keys, under \p Index's key
+/// \name Hashes of the pools' keys, under \p Index's key
 /// @{
+uint64_t hashOf(const IdIndex &Index, std::string_view S) {
+  return Index.hash(S);
+}
+
 uint64_t hashOf(const IdIndex &Index, const MClassRef &R) {
   return Index.hasher()
       .word(static_cast<uint64_t>(R.Package) << 32 | R.Simple)
@@ -59,28 +63,18 @@ uint32_t internInto(IdIndex &Index, std::vector<T> &Values, U &&V) {
   uint32_t Id = Index.insert(hashOf(Index, V), Next,
                              [&](uint32_t I) { return Values[I] == V; });
   if (Id == Next)
-    Values.push_back(std::forward<U>(V));
+    Values.emplace_back(std::forward<U>(V));
   return Id;
 }
 
 } // namespace
 
 uint32_t Model::StringPool::intern(std::string_view S) {
-  uint32_t Next = static_cast<uint32_t>(Values.size());
-  uint32_t Id = Index.insert(Index.hash(S), Next,
-                             [&](uint32_t I) { return Values[I] == S; });
-  if (Id == Next)
-    Values.emplace_back(S);
-  return Id;
+  return internInto(Index, Values, S);
 }
 
 uint32_t Model::StringPool::append(std::string &&S) {
-  uint32_t Next = static_cast<uint32_t>(Values.size());
-  uint32_t Id = Index.insert(Index.hash(S), Next,
-                             [&](uint32_t I) { return Values[I] == S; });
-  if (Id == Next)
-    Values.push_back(std::move(S));
-  return Id;
+  return internInto(Index, Values, std::move(S));
 }
 
 uint32_t Model::internPackage(std::string_view Name) {
@@ -104,14 +98,7 @@ uint32_t Model::internClassRef(const MClassRef &Ref) {
 uint32_t Model::internFieldRef(const MFieldRef &Ref) {
   return internInto(FieldRefIndex, FieldRefs, Ref);
 }
-uint32_t Model::internMethodRef(const MMethodRef &Ref) {
-  size_t Before = MethodRefs.size();
-  uint32_t Id = internInto(MethodRefIndex, MethodRefs, Ref);
-  if (MethodRefs.size() != Before)
-    noteMethodTypes(MethodRefs.back());
-  return Id;
-}
-uint32_t Model::internMethodRef(MMethodRef &&Ref) {
+uint32_t Model::internMethodRef(MMethodRef Ref) {
   size_t Before = MethodRefs.size();
   uint32_t Id = internInto(MethodRefIndex, MethodRefs, std::move(Ref));
   if (MethodRefs.size() != Before)

@@ -132,8 +132,7 @@ public:
   uint32_t internStringConst(std::string_view Value);
   uint32_t internClassRef(const MClassRef &Ref);
   uint32_t internFieldRef(const MFieldRef &Ref);
-  uint32_t internMethodRef(const MMethodRef &Ref);
-  uint32_t internMethodRef(MMethodRef &&Ref);
+  uint32_t internMethodRef(MMethodRef Ref);
 
   /// Interns the class named by a Class constant-pool entry's name,
   /// which may be a plain internal name or an array descriptor.

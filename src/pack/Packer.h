@@ -118,14 +118,12 @@ struct PackOptions {
 
   /// The effective per-stream plan these options describe.
   BackendPlan backendPlan() const {
-    if (!CompressStreams)
-      return BackendPlan::uniform(BackendId::Store);
-    if (StreamBackends) {
-      BackendPlan P;
+    BackendPlan P =
+        BackendPlan::uniform(CompressStreams ? Backend : BackendId::Store);
+    if (CompressStreams && StreamBackends)
       P.Stream = *StreamBackends;
-      return P;
-    }
-    return BackendPlan::uniform(Backend);
+    P.Scheme = Scheme;
+    return P;
   }
 };
 

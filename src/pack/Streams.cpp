@@ -18,11 +18,12 @@ namespace {
 /// backend, keep the result only when strictly smaller than raw (the
 /// historical zlib rule, now per backend), else store. Returns the
 /// wire method byte; \p Stored receives the bytes to write.
-uint8_t packStream(BackendId Plan, StreamId Id,
+uint8_t packStream(BackendId Plan, StreamId Id, RefScheme Scheme,
                    const std::vector<uint8_t> &Raw,
                    std::vector<uint8_t> &Stored) {
   if (Plan != BackendId::Store && !Raw.empty()) {
-    Stored = allBackends()[static_cast<uint8_t>(Plan)].Compress(Raw, Id);
+    Stored =
+        allBackends()[static_cast<uint8_t>(Plan)].Compress(Raw, Id, Scheme);
     if (Stored.size() < Raw.size())
       return static_cast<uint8_t>(Plan);
     Stored.clear();
@@ -64,8 +65,8 @@ packStreams(std::span<const std::vector<uint8_t> *const> Raw,
       return;
     }
     Out[I].Method = packStream(Plan.Stream[I % NumStreams],
-                               static_cast<StreamId>(I % NumStreams), *Raw[I],
-                               Out[I].Compressed);
+                               static_cast<StreamId>(I % NumStreams),
+                               Plan.Scheme, *Raw[I], Out[I].Compressed);
   };
   if (!Pool || Pool->size() < 2) {
     for (size_t I = 0; I < Tasks; ++I)

@@ -18,6 +18,7 @@
 #ifndef CJPACK_PACK_STREAMS_H
 #define CJPACK_PACK_STREAMS_H
 
+#include "coder/RefCoder.h"
 #include "pack/Backend.h"
 #include "support/ByteBuffer.h"
 #include "support/DecodeLimits.h"
@@ -124,14 +125,24 @@ constexpr StreamCategory streamCategory(StreamId Id) {
   return StreamCategory::Misc; // unreachable for in-range ids
 }
 
-/// The zlib backend's deflate setting for stream \p Id, exhaustive like
-/// streamCategory. Level 9 pays off on some streams only (DESIGN.md has
-/// every stream's bytes and times):
+/// The zlib backend's deflate setting for stream \p Id written by
+/// reference scheme \p Scheme, exhaustive like streamCategory. Level 9
+/// pays off on some streams only (DESIGN.md has every stream's bytes and
+/// times):
 ///  - the move-to-front reference streams and StringLengths are small
 ///    integers where LZ77 matches cost more bits than they save: on the
 ///    benchmark jars Huffman coding alone is 9% smaller and six times
 ///    faster. FieldRefs is smaller still under Z_RLE, which matches only
 ///    runs of the previous byte;
+///  - the id-coded schemes (Simple, Basic, Freq) write the same ids
+///    again where move-to-front writes small indices, and level 9 finds
+///    those repeats (javac's Table 3 rows are 2-10% smaller than under
+///    the move-to-front settings). They keep level 9 on every stream:
+///    with only their reference streams at level 9, the other streams'
+///    cheaper settings would leave their archives a few bytes larger
+///    than uniform level 9. Cache, whose move-to-front cache makes its
+///    streams look like the move-to-front family's, keeps the table
+///    below;
 ///  - LongConsts and DoubleConsts are fixed 8-byte records that walk
 ///    level 9's hash chains to their 4096 limit: Huffman-only (longs)
 ///    and level 6 (doubles) cost 3-5% of their bytes and 1-5% of the
@@ -142,11 +153,14 @@ constexpr StreamCategory streamCategory(StreamId Id) {
 ///    level 9.
 /// The setting is the encoder's alone: every setting writes plain raw
 /// deflate, so the decoder and the wire format do not see it.
-constexpr DeflateSetting deflateSetting(StreamId Id) {
+constexpr DeflateSetting deflateSetting(StreamId Id, RefScheme Scheme) {
   constexpr DeflateSetting Level9{9, DeflateStrategy::Default};
   constexpr DeflateSetting Level6{6, DeflateStrategy::Default};
   constexpr DeflateSetting HuffmanOnly{9, DeflateStrategy::HuffmanOnly};
   constexpr DeflateSetting Rle{9, DeflateStrategy::Rle};
+  if (Scheme == RefScheme::Simple || Scheme == RefScheme::Basic ||
+      Scheme == RefScheme::Freq)
+    return Level9;
   switch (Id) {
   case StreamId::FieldRefs:
     return Rle;
@@ -263,6 +277,9 @@ static_assert(detail::streamsInCategory(StreamCategory::Strings) +
 /// guarantee — the wire method byte records what actually happened.
 struct BackendPlan {
   std::array<BackendId, NumStreams> Stream;
+  /// The reference scheme that wrote the streams (zlib's deflate
+  /// setting depends on it).
+  RefScheme Scheme = RefScheme::MtfTransientsContext;
 
   BackendPlan() { Stream.fill(BackendId::Zlib); }
 

@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -91,14 +92,9 @@ public:
   /// Absorbs \p Tail and returns the hash of everything absorbed.
   uint64_t finish(std::string_view Tail = {}) {
     size_t Whole = Tail.size() & ~size_t(7);
-    for (size_t Off = 0; Off < Whole; Off += 8) {
-      uint64_t M;
-      std::memcpy(&M, Tail.data() + Off, 8);
-      word(M);
-    }
-    uint64_t Last = 0;
-    if (Tail.size() > Whole)
-      std::memcpy(&Last, Tail.data() + Whole, Tail.size() - Whole);
+    for (size_t Off = 0; Off < Whole; Off += 8)
+      word(littleEndian(Tail.data() + Off, 8));
+    uint64_t Last = littleEndian(Tail.data() + Whole, Tail.size() - Whole);
     Last |= static_cast<uint64_t>(Length + Tail.size() - Whole) << 56;
     V3 ^= Last;
     round();
@@ -112,6 +108,19 @@ public:
 
 private:
   static uint64_t rotl(uint64_t X, int B) { return X << B | X >> (64 - B); }
+
+  /// The little-endian value of the \p N <= 8 bytes at \p P.
+  static uint64_t littleEndian(const char *P, size_t N) {
+    uint64_t X = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (N)
+        std::memcpy(&X, P, N);
+    } else {
+      for (size_t I = 0; I < N; ++I)
+        X |= static_cast<uint64_t>(static_cast<uint8_t>(P[I])) << 8 * I;
+    }
+    return X;
+  }
 
   void round() {
     V0 += V1;
@@ -195,9 +204,6 @@ public:
     if (Want > Slots.size())
       rehash(Want);
   }
-
-  /// The number of ids indexed.
-  size_t size() const { return Count; }
 
 private:
   /// One slot: an id (None when empty) and 32 bits of its key's hash,

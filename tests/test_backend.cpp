@@ -119,18 +119,25 @@ TEST(BackendRegistry, EveryBackendRoundTripsBytes) {
       B = static_cast<uint8_t>(Rng());
     Samples.push_back(std::move(Noise));
   }
-  // Every stream, so zlib's every per-stream deflate setting too.
+  // Every stream under every scheme, so zlib's every deflate setting
+  // too.
   for (const CompressionBackend &B : allBackends()) {
     for (unsigned I = 0; I < NumStreams; ++I) {
       StreamId Stream = static_cast<StreamId>(I);
-      for (const std::vector<uint8_t> &Raw : Samples) {
-        std::vector<uint8_t> Stored = B.Compress(Raw, Stream);
-        auto Back = B.Decompress(Stored, Raw.size());
-        ASSERT_TRUE(static_cast<bool>(Back))
-            << B.Name << " " << streamName(Stream) << " size " << Raw.size()
-            << ": " << Back.message();
-        EXPECT_EQ(*Back, Raw)
-            << B.Name << " " << streamName(Stream) << " size " << Raw.size();
+      for (uint8_t S = 0;
+           S <= static_cast<uint8_t>(RefScheme::MtfTransientsContext); ++S) {
+        RefScheme Scheme = static_cast<RefScheme>(S);
+        for (const std::vector<uint8_t> &Raw : Samples) {
+          std::vector<uint8_t> Stored = B.Compress(Raw, Stream, Scheme);
+          auto Back = B.Decompress(Stored, Raw.size());
+          ASSERT_TRUE(static_cast<bool>(Back))
+              << B.Name << " " << streamName(Stream) << " "
+              << refSchemeName(Scheme) << " size " << Raw.size() << ": "
+              << Back.message();
+          EXPECT_EQ(*Back, Raw) << B.Name << " " << streamName(Stream) << " "
+                                << refSchemeName(Scheme) << " size "
+                                << Raw.size();
+        }
       }
     }
   }

@@ -13,11 +13,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "classfile/Reader.h"
 #include "corpus/Corpus.h"
 #include "pack/Dictionary.h"
 #include "pack/Packer.h"
+#include "pack/Preload.h"
 #include "support/VarInt.h"
 #include <gtest/gtest.h>
+#include <map>
+#include <set>
+#include <span>
+#include <tuple>
 
 using namespace cjpack;
 
@@ -190,4 +196,198 @@ TEST(PackDictionary, PreloadedStandardRefsStayOutOfTheDictionary) {
   auto Out = unpackClasses(B->Archive);
   ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
   EXPECT_EQ(Out->size(), Classes.size());
+}
+
+namespace {
+
+/// buildSharedDictionary as first written, on std::map and std::set of
+/// copied values: the oracle the hashed build must match byte for byte.
+SharedDictionary
+oracleDictionary(const std::vector<const Model *> &ShardModels,
+                 const Model *Baseline) {
+  using ClassRefKey = std::tuple<uint8_t, char, std::string, std::string>;
+  auto KeyOf = [](const Model &M, const MClassRef &R) -> ClassRefKey {
+    if (R.Base != 'L')
+      return {R.Dims, R.Base, "", ""};
+    return {R.Dims, R.Base, M.package(R.Package), M.simpleName(R.Simple)};
+  };
+  std::map<std::string, unsigned> PkgN, SimpN, FldN, MthN, StrN;
+  std::map<ClassRefKey, unsigned> RefN;
+  for (const Model *M : ShardModels) {
+    for (uint32_t I = 0; I < M->packageCount(); ++I)
+      ++PkgN[M->package(I)];
+    for (uint32_t I = 0; I < M->simpleNameCount(); ++I)
+      ++SimpN[M->simpleName(I)];
+    for (uint32_t I = 0; I < M->fieldNameCount(); ++I)
+      ++FldN[M->fieldName(I)];
+    for (uint32_t I = 0; I < M->methodNameCount(); ++I)
+      ++MthN[M->methodName(I)];
+    for (uint32_t I = 0; I < M->stringConstCount(); ++I)
+      ++StrN[M->stringConst(I)];
+    for (uint32_t I = 0; I < M->classRefCount(); ++I)
+      ++RefN[KeyOf(*M, M->classRef(I))];
+  }
+  std::set<std::string> BasePkg, BaseSimp, BaseFld, BaseMth, BaseStr;
+  std::set<ClassRefKey> BaseRef;
+  if (Baseline) {
+    for (uint32_t I = 0; I < Baseline->packageCount(); ++I)
+      BasePkg.insert(Baseline->package(I));
+    for (uint32_t I = 0; I < Baseline->simpleNameCount(); ++I)
+      BaseSimp.insert(Baseline->simpleName(I));
+    for (uint32_t I = 0; I < Baseline->fieldNameCount(); ++I)
+      BaseFld.insert(Baseline->fieldName(I));
+    for (uint32_t I = 0; I < Baseline->methodNameCount(); ++I)
+      BaseMth.insert(Baseline->methodName(I));
+    for (uint32_t I = 0; I < Baseline->stringConstCount(); ++I)
+      BaseStr.insert(Baseline->stringConst(I));
+    for (uint32_t I = 0; I < Baseline->classRefCount(); ++I)
+      BaseRef.insert(KeyOf(*Baseline, Baseline->classRef(I)));
+  }
+  SharedDictionary D;
+  std::map<std::string, uint32_t> PkgIdx, SimpIdx;
+  auto Add = [](std::map<std::string, uint32_t> &Idx,
+                std::vector<std::string> &List, const std::string &S) {
+    auto [It, Fresh] =
+        Idx.try_emplace(S, static_cast<uint32_t>(List.size()));
+    if (Fresh)
+      List.push_back(S);
+    return It->second;
+  };
+  for (const auto &[S, N] : PkgN)
+    if (N >= 2 && !BasePkg.count(S))
+      Add(PkgIdx, D.Packages, S);
+  for (const auto &[S, N] : SimpN)
+    if (N >= 2 && !BaseSimp.count(S))
+      Add(SimpIdx, D.Simples, S);
+  for (const auto &[S, N] : FldN)
+    if (N >= 2 && !BaseFld.count(S))
+      D.FieldNames.push_back(S);
+  for (const auto &[S, N] : MthN)
+    if (N >= 2 && !BaseMth.count(S))
+      D.MethodNames.push_back(S);
+  for (const auto &[S, N] : StrN)
+    if (N >= 2 && !BaseStr.count(S))
+      D.Strings.push_back(S);
+  for (const auto &[Key, N] : RefN) {
+    if (N < 2 || BaseRef.count(Key))
+      continue;
+    DictClassRef Ref;
+    Ref.Dims = std::get<0>(Key);
+    Ref.Base = std::get<1>(Key);
+    if (Ref.Base == 'L') {
+      Ref.Package = Add(PkgIdx, D.Packages, std::get<2>(Key));
+      Ref.Simple = Add(SimpIdx, D.Simples, std::get<3>(Key));
+    }
+    D.ClassRefs.push_back(Ref);
+  }
+  return D;
+}
+
+/// A shard's model: every class, member reference and string constant
+/// in its classes' constant pools, and every declared member's name,
+/// interned in pool order.
+Model shardModel(std::span<const ClassFile> Classes) {
+  Model M;
+  for (const ClassFile &CF : Classes) {
+    const ConstantPool &CP = CF.CP;
+    for (uint16_t I = 1; I < CP.count(); ++I) {
+      if (!CP.isValidIndex(I))
+        continue;
+      const CpEntry &E = CP.entry(I);
+      switch (E.Tag) {
+      case CpTag::Class:
+        EXPECT_TRUE(static_cast<bool>(
+            M.internClassByInternalName(CP.className(I))));
+        break;
+      case CpTag::String:
+        M.internStringConst(CP.utf8(E.Ref1));
+        break;
+      case CpTag::FieldRef: {
+        const CpEntry &NT = CP.entry(E.Ref2);
+        MFieldRef F;
+        F.Owner = *M.internClassByInternalName(CP.className(E.Ref1));
+        F.Name = M.internFieldName(CP.utf8(NT.Ref1));
+        F.Type = *M.internTypeDesc(*parseFieldDescriptor(CP.utf8(NT.Ref2)));
+        M.internFieldRef(F);
+        break;
+      }
+      case CpTag::MethodRef:
+      case CpTag::InterfaceMethodRef: {
+        const CpEntry &NT = CP.entry(E.Ref2);
+        MMethodRef R;
+        R.Owner = *M.internClassByInternalName(CP.className(E.Ref1));
+        R.Name = M.internMethodName(CP.utf8(NT.Ref1));
+        R.Sig = *M.internSignature(CP.utf8(NT.Ref2));
+        M.internMethodRef(std::move(R));
+        break;
+      }
+      default:
+        break;
+      }
+    }
+    for (const MemberInfo &F : CF.Fields)
+      M.internFieldName(CP.utf8(F.NameIndex));
+    for (const MemberInfo &Mth : CF.Methods)
+      M.internMethodName(CP.utf8(Mth.NameIndex));
+  }
+  return M;
+}
+
+/// Seeds a model through the preload helpers without a real coder.
+class NullRefEncoder final : public RefEncoder {
+public:
+  bool encode(uint32_t, uint32_t, uint32_t, ByteWriter &) override {
+    return false;
+  }
+  bool preload(uint32_t, uint32_t) override { return true; }
+};
+
+} // namespace
+
+// The hashed build must write the dictionary the std::map build wrote:
+// same lists, same order, so the same frame bytes. Shard models of the
+// benchmark jars (250 classes, 4 contiguous shards), with and without
+// the standard preload as baseline.
+TEST(PackDictionary, HashedBuildMatchesTheOrderedOracle) {
+  CorpusSpec Spec = scaleBenchmark(2000);
+  Spec.Seed = 9001;
+  std::vector<NamedClass> Corpus = generateCorpus(Spec);
+  ASSERT_EQ(Corpus.size(), 2000u);
+  Model Standard;
+  NullRefEncoder Null;
+  ASSERT_TRUE(preloadStandardRefs(Standard, Null,
+                                  RefScheme::MtfTransientsContext));
+  for (size_t Jar : {0u, 3u, 7u}) {
+    std::vector<ClassFile> Classes;
+    for (size_t I = Jar * 250; I < (Jar + 1) * 250; ++I) {
+      auto CF = parseClassFile(Corpus[I].Data);
+      ASSERT_TRUE(static_cast<bool>(CF)) << CF.message();
+      Classes.push_back(std::move(*CF));
+    }
+    for (size_t Shards : {2u, 4u}) {
+      std::vector<Model> Models;
+      size_t Per = Classes.size() / Shards;
+      for (size_t K = 0; K < Shards; ++K)
+        Models.push_back(shardModel(
+            std::span<const ClassFile>(Classes).subspan(K * Per, Per)));
+      std::vector<const Model *> Ptrs;
+      for (const Model &M : Models)
+        Ptrs.push_back(&M);
+      for (const Model *Baseline :
+           std::initializer_list<const Model *>{nullptr, &Standard}) {
+        SharedDictionary Got = buildSharedDictionary(Ptrs, Baseline);
+        SharedDictionary Want = oracleDictionary(Ptrs, Baseline);
+        EXPECT_GT(Want.entryCount(), 100u);
+        EXPECT_EQ(Got.Packages, Want.Packages);
+        EXPECT_EQ(Got.Simples, Want.Simples);
+        EXPECT_EQ(Got.FieldNames, Want.FieldNames);
+        EXPECT_EQ(Got.MethodNames, Want.MethodNames);
+        EXPECT_EQ(Got.Strings, Want.Strings);
+        EXPECT_EQ(Got.ClassRefs.size(), Want.ClassRefs.size());
+        EXPECT_EQ(Got.frameBody(), Want.frameBody())
+            << "jar " << Jar << ", " << Shards << " shards"
+            << (Baseline ? ", standard preload" : "");
+      }
+    }
+  }
 }

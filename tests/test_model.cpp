@@ -128,6 +128,101 @@ TEST(Model, MemberRefInterning) {
   EXPECT_EQ(M.methodRef(Id).Name, M1.Name);
 }
 
+// Every pool grows through many resizes of its index: ids stay dense in
+// first-intern order, re-interning (and the decoder's append of a value
+// already present) returns the existing id, and two models, each
+// hashing under its own keys, assign the same ids to the same sequence.
+TEST(Model, PoolsKeepDenseFirstInternIdsThroughGrowth) {
+  constexpr uint32_t N = 100000;
+  Model A, B;
+  uint32_t Wrong = 0;
+  for (Model *M : {&A, &B}) {
+    for (uint32_t I = 0; I < N; ++I) {
+      std::string S = "v" + std::to_string(I);
+      Wrong += M->internPackage(S + "/p") != I;
+      Wrong += M->internSimpleName(S) != I;
+      Wrong += M->internFieldName(S) != I;
+      Wrong += M->internMethodName(S) != I;
+      Wrong += M->internStringConst(S) != I;
+      MClassRef C;
+      C.Dims = static_cast<uint8_t>(I % 3);
+      C.Package = I;
+      C.Simple = N - 1 - I;
+      Wrong += M->internClassRef(C) != I;
+      MFieldRef F;
+      F.Owner = I;
+      F.Name = I % 7;
+      F.Type = I % 5;
+      Wrong += M->internFieldRef(F) != I;
+      MMethodRef R;
+      R.Owner = I % 11;
+      R.Name = I / 11;
+      R.Sig = {I % 13, I};
+      Wrong += M->internMethodRef(R) != I;
+    }
+  }
+  EXPECT_EQ(Wrong, 0u);
+
+  for (uint32_t I = 0; I < N; I += 97) {
+    std::string S = "v" + std::to_string(I);
+    EXPECT_EQ(A.internPackage(S + "/p"), I);
+    EXPECT_EQ(A.appendPackage(S + "/p"), I);
+    EXPECT_EQ(A.appendSimpleName(S), I);
+    EXPECT_EQ(A.appendFieldName(S), I);
+    EXPECT_EQ(A.appendMethodName(S), I);
+    EXPECT_EQ(A.appendStringConst(S), I);
+    MClassRef C = A.classRef(I);
+    EXPECT_EQ(A.appendClassRef(C), I);
+    EXPECT_EQ(A.appendFieldRef(A.fieldRef(I)), I);
+    EXPECT_EQ(A.appendMethodRef(A.methodRef(I)), I);
+    EXPECT_EQ(A.internMethodRef(A.methodRef(I)), I);
+  }
+  EXPECT_EQ(A.packageCount(), N);
+  EXPECT_EQ(A.classRefCount(), N);
+  EXPECT_EQ(A.methodRefCount(), N);
+  EXPECT_EQ(A.appendPackage("fresh"), N);
+  EXPECT_EQ(A.package(N), "fresh");
+
+  // Method refs that differ in one signature element, or in its length,
+  // are different refs.
+  MMethodRef R;
+  R.Owner = 3;
+  R.Name = 4;
+  R.Sig = {1, 2, 3};
+  uint32_t Id = A.internMethodRef(R);
+  EXPECT_EQ(Id, N);
+  R.Sig = {1, 2, 4};
+  EXPECT_EQ(A.internMethodRef(R), N + 1);
+  R.Sig = {1, 2};
+  EXPECT_EQ(A.internMethodRef(R), N + 2);
+  R.Sig = {1, 2, 3};
+  EXPECT_EQ(A.internMethodRef(R), Id);
+  EXPECT_EQ(A.methodRef(N + 1).Sig, (std::vector<uint32_t>{1, 2, 4}));
+}
+
+// A method ref's stack types are fixed when it enters the pool, on the
+// interning side and the appending side alike.
+TEST(Model, MethodRefTypesComeWithTheRef) {
+  for (bool Append : {false, true}) {
+    Model M;
+    auto Sig = M.internSignature("(JLjava/lang/String;[ID)V");
+    ASSERT_TRUE(static_cast<bool>(Sig));
+    MMethodRef R;
+    R.Owner = *M.internClassByInternalName("a/B");
+    R.Name = M.internMethodName("m");
+    R.Sig = *Sig;
+    uint32_t Id = Append ? M.appendMethodRef(R) : M.internMethodRef(R);
+    std::span<const VType> Args = M.methodArgVTypes(Id);
+    ASSERT_EQ(Args.size(), 4u);
+    EXPECT_EQ(Args[0], VType::Long);
+    EXPECT_EQ(Args[1], VType::Ref);
+    EXPECT_EQ(Args[2], VType::Ref);
+    EXPECT_EQ(Args[3], VType::Double);
+    EXPECT_EQ(M.methodRetVType(Id), VType::Void);
+    EXPECT_EQ(invokeInterfaceCount(Args), 1u + 2 + 1 + 1 + 2);
+  }
+}
+
 TEST(Model, RejectsMalformedNames) {
   Model M;
   EXPECT_FALSE(static_cast<bool>(M.internClassByInternalName("[")));

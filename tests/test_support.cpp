@@ -7,8 +7,12 @@
 #include "support/BitStream.h"
 #include "support/ByteBuffer.h"
 #include "support/Error.h"
+#include "support/IdIndex.h"
 #include "support/VarInt.h"
+#include <algorithm>
 #include <gtest/gtest.h>
+#include <string>
+#include <vector>
 
 using namespace cjpack;
 
@@ -243,4 +247,77 @@ TEST(Expected, ValueAndError) {
   EXPECT_EQ(Bad.message(), "nope");
   Error E = Bad.takeError();
   EXPECT_TRUE(static_cast<bool>(E));
+}
+
+// The owner's side of an IdIndex: strings stored once, in id order.
+namespace {
+
+struct Interner {
+  std::vector<std::string> Values;
+  IdIndex Index;
+
+  uint32_t intern(std::string_view S) {
+    uint32_t Next = static_cast<uint32_t>(Values.size());
+    uint32_t Id = Index.insert(Index.hash(S), Next,
+                               [&](uint32_t I) { return Values[I] == S; });
+    if (Id == Next)
+      Values.emplace_back(S);
+    return Id;
+  }
+
+  uint32_t find(std::string_view S) const {
+    return Index.find(Index.hash(S),
+                      [&](uint32_t I) { return Values[I] == S; });
+  }
+};
+
+} // namespace
+
+TEST(IdIndex, IdsAreDenseInInsertionOrderThroughResizes) {
+  Interner A, B; // each index draws its own key
+  constexpr uint32_t N = 100000;
+  EXPECT_EQ(A.find("missing"), IdIndex::None);
+  uint32_t Wrong = 0;
+  for (uint32_t I = 0; I < N; ++I) {
+    std::string S = "key" + std::to_string(I);
+    Wrong += A.intern(S) != I;
+    Wrong += B.intern(S) != I;
+  }
+  for (uint32_t I = 0; I < N; ++I) {
+    std::string S = "key" + std::to_string(I);
+    Wrong += A.intern(S) != I;
+    Wrong += A.find(S) != I;
+  }
+  EXPECT_EQ(Wrong, 0u);
+  EXPECT_EQ(A.Values.size(), N);
+  EXPECT_EQ(A.find("key100000"), IdIndex::None);
+  EXPECT_EQ(A.intern(""), N);
+  EXPECT_EQ(A.intern(""), N);
+}
+
+TEST(IdIndex, EveryIndexHashesUnderItsOwnKey) {
+  IdIndex X, Y;
+  EXPECT_EQ(X.hash("java/lang/Object"), X.hash("java/lang/Object"));
+  EXPECT_NE(X.hash("java/lang/Object"), Y.hash("java/lang/Object"));
+  EXPECT_NE(X.hasher().word(1).finish(), Y.hasher().word(1).finish());
+}
+
+TEST(IdIndex, SipHasherSeesEveryByteAndTheLength) {
+  IdIndex X;
+  // Tails of every length up to two blocks, and the same bytes split
+  // between words and tail, hash apart unless the inputs are equal.
+  std::vector<uint64_t> Seen;
+  std::string S;
+  for (int Len = 0; Len <= 16; ++Len) {
+    Seen.push_back(X.hash(S));
+    S += static_cast<char>('a' + Len);
+  }
+  Seen.push_back(X.hash(std::string("\0", 1)));
+  Seen.push_back(X.hash(std::string("\0\0", 2)));
+  std::sort(Seen.begin(), Seen.end());
+  EXPECT_EQ(std::adjacent_find(Seen.begin(), Seen.end()), Seen.end());
+  // One word absorbed is the same as its eight little-endian bytes.
+  uint64_t W = 0x0807060504030201ull;
+  EXPECT_EQ(X.hasher().word(W).finish(),
+            X.hash(std::string("\x01\x02\x03\x04\x05\x06\x07\x08", 8)));
 }

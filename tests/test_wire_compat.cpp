@@ -433,24 +433,30 @@ size_t storedCost(const std::vector<uint8_t> &Raw,
 
 } // namespace
 
-// The per-stream deflate settings (deflateSetting) must never trade
-// bytes silently: on every corpus style and container, each reference
-// stream and StringLengths stores no more than level-9 deflate would,
-// and the default archive's streams total no more than the same raw
-// streams deflated uniformly at level 9. (LongConsts trades a few bytes
-// for most of its deflate time, so only the total bounds it.)
+// The deflate settings (deflateSetting) must never trade bytes
+// silently: on every corpus style and container, for the default scheme
+// and the id-coded ones, each reference stream and StringLengths stores
+// no more than level-9 deflate would, and the archive's streams total no
+// more than the same raw streams deflated uniformly at level 9.
+// (LongConsts trades a few bytes for most of its deflate time, so only
+// the total bounds it.)
 TEST(WireCompat, DeflateSettingsNeverCostBytes) {
   for (CodeStyle Style :
        {CodeStyle::Balanced, CodeStyle::Numeric, CodeStyle::StringHeavy}) {
     auto Classes = corpusFor(Style);
-    for (unsigned Shards : {1u, 4u}) {
+    for (RefScheme Scheme : {RefScheme::MtfTransientsContext,
+                             RefScheme::Simple, RefScheme::Basic,
+                             RefScheme::Freq}) {
+     for (unsigned Shards : {1u, 4u}) {
       for (bool Indexed : {false, true}) {
-        std::string Key = std::string(styleName(Style)) + "/s" +
+        std::string Key = std::string(styleName(Style)) + "/" +
+                          refSchemeName(Scheme) + "/s" +
                           std::to_string(Shards) + (Indexed ? "/v3" : "");
         PackOptions Options;
         Options.Shards = Shards;
         Options.Threads = 2;
         Options.RandomAccessIndex = Indexed;
+        Options.Scheme = Scheme;
         auto Default = packClassBytes(Classes, Options);
         Options.CompressStreams = false;
         auto Raw = packClassBytes(Classes, Options);
@@ -468,7 +474,7 @@ TEST(WireCompat, DeflateSettingsNeverCostBytes) {
           size_t Plan = Raw->Sizes.Packed[I];
           size_t Level9 = Raw->Sizes.Packed[I];
           for (const std::vector<uint8_t> &Unit : Units[I]) {
-            Plan += storedCost(Unit, Zlib.Compress(Unit, Id));
+            Plan += storedCost(Unit, Zlib.Compress(Unit, Id, Scheme));
             Level9 += storedCost(Unit, deflateBytes(Unit));
             Plan -= storedCost(Unit, Unit);
             Level9 -= storedCost(Unit, Unit);
@@ -488,6 +494,7 @@ TEST(WireCompat, DeflateSettingsNeverCostBytes) {
         EXPECT_EQ(PlanTotal, Default->Sizes.totalPacked()) << Key;
         EXPECT_LE(PlanTotal, Level9Total) << Key;
       }
+     }
     }
   }
 }
