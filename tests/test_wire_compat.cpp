@@ -447,54 +447,54 @@ TEST(WireCompat, DeflateSettingsNeverCostBytes) {
     for (RefScheme Scheme : {RefScheme::MtfTransientsContext,
                              RefScheme::Simple, RefScheme::Basic,
                              RefScheme::Freq}) {
-     for (unsigned Shards : {1u, 4u}) {
-      for (bool Indexed : {false, true}) {
-        std::string Key = std::string(styleName(Style)) + "/" +
-                          refSchemeName(Scheme) + "/s" +
-                          std::to_string(Shards) + (Indexed ? "/v3" : "");
-        PackOptions Options;
-        Options.Shards = Shards;
-        Options.Threads = 2;
-        Options.RandomAccessIndex = Indexed;
-        Options.Scheme = Scheme;
-        auto Default = packClassBytes(Classes, Options);
-        Options.CompressStreams = false;
-        auto Raw = packClassBytes(Classes, Options);
-        ASSERT_TRUE(Default && Raw) << Key;
-        auto Units = compressionUnits(Raw->Archive);
+      for (unsigned Shards : {1u, 4u}) {
+        for (bool Indexed : {false, true}) {
+          std::string Key = std::string(styleName(Style)) + "/" +
+                            refSchemeName(Scheme) + "/s" +
+                            std::to_string(Shards) + (Indexed ? "/v3" : "");
+          PackOptions Options;
+          Options.Shards = Shards;
+          Options.Threads = 2;
+          Options.RandomAccessIndex = Indexed;
+          Options.Scheme = Scheme;
+          auto Default = packClassBytes(Classes, Options);
+          Options.CompressStreams = false;
+          auto Raw = packClassBytes(Classes, Options);
+          ASSERT_TRUE(Default && Raw) << Key;
+          auto Units = compressionUnits(Raw->Archive);
 
-        const CompressionBackend &Zlib = *findBackend(
-            static_cast<uint8_t>(BackendId::Zlib));
-        size_t PlanTotal = 0, Level9Total = 0;
-        for (unsigned I = 0; I < NumStreams; ++I) {
-          StreamId Id = static_cast<StreamId>(I);
-          // A stream's packed size in the uncompressed archive, with
-          // each unit's stored cost swapped for its cost under the plan
-          // (Compress, the archive's own path) and under level 9.
-          size_t Plan = Raw->Sizes.Packed[I];
-          size_t Level9 = Raw->Sizes.Packed[I];
-          for (const std::vector<uint8_t> &Unit : Units[I]) {
-            Plan += storedCost(Unit, Zlib.Compress(Unit, Id, Scheme));
-            Level9 += storedCost(Unit, deflateBytes(Unit));
-            Plan -= storedCost(Unit, Unit);
-            Level9 -= storedCost(Unit, Unit);
+          const CompressionBackend &Zlib = *findBackend(
+              static_cast<uint8_t>(BackendId::Zlib));
+          size_t PlanTotal = 0, Level9Total = 0;
+          for (unsigned I = 0; I < NumStreams; ++I) {
+            StreamId Id = static_cast<StreamId>(I);
+            // A stream's packed size in the uncompressed archive, with
+            // each unit's stored cost swapped for its cost under the plan
+            // (Compress, the archive's own path) and under level 9.
+            size_t Plan = Raw->Sizes.Packed[I];
+            size_t Level9 = Raw->Sizes.Packed[I];
+            for (const std::vector<uint8_t> &Unit : Units[I]) {
+              Plan += storedCost(Unit, Zlib.Compress(Unit, Id, Scheme));
+              Level9 += storedCost(Unit, deflateBytes(Unit));
+              Plan -= storedCost(Unit, Unit);
+              Level9 -= storedCost(Unit, Unit);
+            }
+            // The swap reproduces the default archive exactly, so the
+            // bounds below are about the archive pack writes.
+            EXPECT_EQ(Plan, Default->Sizes.Packed[I])
+                << Key << " " << streamName(Id);
+            if ((streamCategory(Id) == StreamCategory::Refs &&
+                 Id != StreamId::SimpleNameRefs) ||
+                Id == StreamId::StringLengths) {
+              EXPECT_LE(Plan, Level9) << Key << " " << streamName(Id);
+            }
+            PlanTotal += Plan;
+            Level9Total += Level9;
           }
-          // The swap reproduces the default archive exactly, so the
-          // bounds below are about the archive pack writes.
-          EXPECT_EQ(Plan, Default->Sizes.Packed[I])
-              << Key << " " << streamName(Id);
-          if ((streamCategory(Id) == StreamCategory::Refs &&
-               Id != StreamId::SimpleNameRefs) ||
-              Id == StreamId::StringLengths) {
-            EXPECT_LE(Plan, Level9) << Key << " " << streamName(Id);
-          }
-          PlanTotal += Plan;
-          Level9Total += Level9;
+          EXPECT_EQ(PlanTotal, Default->Sizes.totalPacked()) << Key;
+          EXPECT_LE(PlanTotal, Level9Total) << Key;
         }
-        EXPECT_EQ(PlanTotal, Default->Sizes.totalPacked()) << Key;
-        EXPECT_LE(PlanTotal, Level9Total) << Key;
       }
-     }
     }
   }
 }
