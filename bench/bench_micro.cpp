@@ -16,7 +16,6 @@
 #include "corpus/Rng.h"
 #include "mtf/MtfQueue.h"
 #include "pack/ArchiveFormat.h"
-#include "support/ThreadPool.h"
 #include "support/VarInt.h"
 #include "zip/Zlib.h"
 #include <benchmark/benchmark.h>
@@ -192,13 +191,13 @@ const JarBatch &jarBatch() {
 
 static void BM_CompressStreams(benchmark::State &State) {
   // The version-2 compression stage alone: every stream's joint bytes
-  // and the dictionary frame, one batch on a pool of range(0) threads.
+  // and the dictionary frame, one batch on range(0) threads.
   const JarBatch &B = jarBatch();
-  ThreadPool Pool(static_cast<unsigned>(State.range(0)));
+  unsigned Threads = static_cast<unsigned>(State.range(0));
   for (auto _ : State) {
     BatchExtra Dict{B.DictBody, &SharedDictionary::deflateFrame, {}};
     benchmark::DoNotOptimize(serializeShardedStreams(
-        B.Shards, BackendPlan(), nullptr, &Pool, &Dict));
+        B.Shards, BackendPlan(), nullptr, Threads, &Dict));
   }
   State.SetBytesProcessed(State.iterations() *
                           static_cast<int64_t>(B.RawBytes));

@@ -154,11 +154,9 @@ size_t verifyOneClass(const std::string &Name,
   return R.Diags.size();
 }
 
-/// Whole-archive verification: builds the class hierarchy over every
-/// parseable class so reference joins track least-common-superclass
-/// types, then verifies each class. Prints diagnostics; returns the
-/// total count.
-size_t verifyClassSet(const std::vector<NamedClass> &Classes) {
+/// Whole-archive verification (verifyClassSet over every parseable
+/// class). Prints diagnostics; returns the total count.
+size_t reportClassSet(const std::vector<NamedClass> &Classes) {
   std::vector<ClassFile> Parsed;
   std::vector<std::string> Names;
   std::vector<analysis::Diagnostic> ParseDiags;
@@ -167,13 +165,13 @@ size_t verifyClassSet(const std::vector<NamedClass> &Classes) {
   for (const analysis::Diagnostic &D : ParseDiags)
     fprintf(stderr, "packtool: %s: %s\n", D.Method.c_str(),
             analysis::formatDiagnostic(D).c_str());
-  analysis::ClassHierarchy H = analysis::ClassHierarchy::build(Parsed);
+  std::vector<std::vector<analysis::Diagnostic>> Diags =
+      verifyClassSet(Parsed);
   for (size_t K = 0; K < Parsed.size(); ++K) {
-    analysis::VerifyResult R = analysis::verifyClass(Parsed[K], &H);
-    for (const analysis::Diagnostic &D : R.Diags)
+    for (const analysis::Diagnostic &D : Diags[K])
       fprintf(stderr, "packtool: %s: %s\n", Names[K].c_str(),
               analysis::formatDiagnostic(D).c_str());
-    NumDiags += R.Diags.size();
+    NumDiags += Diags[K].size();
   }
   return NumDiags;
 }
@@ -396,7 +394,7 @@ int cmdVerify(const std::vector<std::string> &Args) {
   std::vector<NamedClass> Classes;
   if (!loadClassInput(InPath, Classes))
     return 1;
-  size_t NumDiags = verifyClassSet(Classes);
+  size_t NumDiags = reportClassSet(Classes);
   printf("%s: %zu classes verified, %zu diagnostics\n", InPath.c_str(),
          Classes.size(), NumDiags);
   return (NumDiags == 0 || WarnOnly) ? 0 : 1;

@@ -10,6 +10,10 @@
 // reference/bytecode decode path. Any outcome but a typed Error, or
 // classes meeting the restore contract (RestoreContract.h), is a bug.
 //
+// A version-2 archive decodes its shards concurrently, so such an input
+// is decoded on four threads too, which must restore the same class
+// bytes, or fail with the same error code and message.
+//
 //===----------------------------------------------------------------------===//
 
 #include "RestoreContract.h"
@@ -25,6 +29,25 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   Options.Limits.MaxStreamBytes = 1u << 24;
   Options.Limits.MaxInflateBytes = 1u << 26;
   auto Result = cjpack::unpackClasses(Bytes, Options);
+  if (Size > 4 && Data[4] == cjpack::FormatVersionSharded) {
+    cjpack::UnpackOptions Four = Options;
+    Four.Threads = 4;
+    auto Parallel = cjpack::unpackClasses(Bytes, Four);
+    if (static_cast<bool>(Parallel) != static_cast<bool>(Result))
+      abort();
+    if (!Result) {
+      if (Parallel.code() != Result.code() ||
+          Parallel.message() != Result.message())
+        abort();
+    } else {
+      if (Parallel->size() != Result->size())
+        abort();
+      for (size_t I = 0; I < Result->size(); ++I)
+        if (cjpack::writeClassFile((*Parallel)[I]) !=
+            cjpack::writeClassFile((*Result)[I]))
+          abort();
+    }
+  }
   if (Result) // a typed Error is the expected outcome on garbage
     requireValidCanonical(*Result, Options.Limits);
   return 0;

@@ -11,8 +11,6 @@
 #include "pack/Streams.h"
 #include "pack/Transcode.h"
 #include "support/ThreadPool.h"
-#include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 
@@ -267,9 +265,11 @@ PackedArchiveReader::unpackAll(unsigned Threads) {
 
   // Each shard then decodes and materializes its own entries, in index
   // order, into preallocated slots, stopping at its first failure.
-  // Shards share no decode state, so they run concurrently.
+  // Shards share no decode state, so they run concurrently. The calling
+  // thread decodes shards too: what it allocates reuses its own heap.
   std::vector<ClassFile> Out(Entries.size());
-  auto DecodeShard = [this, &Entries, &Out](ShardWork &W) {
+  parallelFor(Work.size(), Threads, [this, &Entries, &Out, &Work](size_t J) {
+    ShardWork &W = Work[J];
     std::lock_guard<std::mutex> Lock(W.St->Mu);
     for (size_t I : W.Entries) {
       auto CF = classLocked(*W.St, Entries[I]);
@@ -280,28 +280,7 @@ PackedArchiveReader::unpackAll(unsigned Threads) {
       }
       Out[I] = std::move(*CF);
     }
-  };
-  // The calling thread claims shards too: it would only wait otherwise,
-  // and what it allocates reuses its own heap.
-  std::atomic<size_t> Next{0};
-  auto Drain = [&Work, &Next, &DecodeShard] {
-    for (size_t J; (J = Next.fetch_add(1)) < Work.size();)
-      DecodeShard(Work[J]);
-  };
-  unsigned Workers = static_cast<unsigned>(std::min<size_t>(
-      Threads ? Threads : ThreadPool::defaultThreadCount(), Work.size()));
-  if (Workers <= 1) {
-    Drain();
-  } else {
-    ThreadPool Pool(Workers - 1);
-    std::vector<std::future<void>> Done;
-    Done.reserve(Workers - 1);
-    for (unsigned I = 1; I < Workers; ++I)
-      Done.push_back(Pool.submit(Drain));
-    Drain();
-    for (std::future<void> &F : Done)
-      F.get();
-  }
+  });
 
   // The error of the first failing entry in index order, whatever the
   // thread count: every entry before it decoded successfully.

@@ -122,15 +122,16 @@ public:
   unpackClassBytes(const std::string &InternalName);
 
   /// Decodes every indexed class, in archive order, on \p Threads
-  /// workers (0 = one per hardware thread), with the result of
+  /// threads (0 = one per hardware thread), with the result of
   /// unpackClass over classNames(): the same classes, or the error of
   /// the first failing entry in index order, for any thread count. The
   /// blobs not yet inflated are inflated first, serially, in the order
   /// the index first touches them, so the budget is charged as a serial
   /// walk charges it. Then each shard decodes its own entries under its
   /// mutex, concurrently with the other shards, on the calling thread
-  /// and Threads - 1 pool workers; one shard or one thread runs inline
-  /// and creates no pool. This is how unpackClasses decodes version 3:
+  /// and up to Threads - 1 helpers (parallelFor); one shard or one
+  /// thread runs inline and starts no thread. This is how unpackClasses
+  /// decodes version 3:
   /// materialized classes own their bytes, so they outlive the reader.
   /// A class unpackClassBytes() already served is parsed from its kept
   /// bytes; nothing is converted to bytes here.

@@ -19,6 +19,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/ArchiveAnalysis.h"
+#include "analysis/Verifier.h"
 #include "classfile/Reader.h"
 #include "classfile/Writer.h"
 #include "pack/ArchiveReader.h"
@@ -115,29 +117,24 @@ cjpack::unpackClasses(std::span<const uint8_t> Archive,
   if (!Shards)
     return Shards.takeError();
 
-  // Decode every shard concurrently; concatenation in shard order keeps
-  // the result identical for any thread count.
-  std::vector<std::future<Expected<std::vector<ClassFile>>>> Futures;
-  Futures.reserve(Shards->size());
-  {
-    ThreadPool Pool(Options.Threads);
-    for (StreamSet &S : *Shards) {
-      StreamSet *Streams = &S;
-      Futures.push_back(
-          Pool.submit([Streams, &H, &Dict, &Limits] {
-            return decodeShardStreams(*Streams, H, &*Dict, Limits);
-          }));
-    }
-  }
-
+  // Decode every shard into its own slot; concatenation in shard order,
+  // and the first failing shard's error, keep the result identical for
+  // any thread count.
+  std::vector<std::vector<ClassFile>> Decoded(Shards->size());
+  std::vector<Error> Failed(Shards->size());
+  parallelFor(Shards->size(), Options.Threads, [&](size_t K) {
+    auto Shard = decodeShardStreams((*Shards)[K], H, &*Dict, Limits);
+    if (Shard)
+      Decoded[K] = std::move(*Shard);
+    else
+      Failed[K] = Shard.takeError();
+  });
+  if (Error E = firstFailure(Failed))
+    return E;
   std::vector<ClassFile> Out;
-  for (auto &F : Futures) {
-    auto Shard = F.get();
-    if (!Shard)
-      return Shard.takeError();
-    for (ClassFile &CF : *Shard)
+  for (std::vector<ClassFile> &Shard : Decoded)
+    for (ClassFile &CF : Shard)
       Out.push_back(std::move(CF));
-  }
   return Out;
 }
 
@@ -212,4 +209,14 @@ void cjpack::parseClassSet(const std::vector<NamedClass> &Classes,
     Parsed.push_back(std::move(*CF));
     Names.push_back(C.Name);
   }
+}
+
+std::vector<std::vector<analysis::Diagnostic>>
+cjpack::verifyClassSet(const std::vector<ClassFile> &Classes) {
+  analysis::ClassHierarchy H = analysis::ClassHierarchy::build(Classes);
+  std::vector<std::vector<analysis::Diagnostic>> Diags;
+  Diags.reserve(Classes.size());
+  for (const ClassFile &CF : Classes)
+    Diags.push_back(analysis::verifyClass(CF, &H).Diags);
+  return Diags;
 }

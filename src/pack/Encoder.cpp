@@ -32,9 +32,7 @@
 #include "support/ThreadPool.h"
 #include "support/VarInt.h"
 #include <algorithm>
-#include <atomic>
 #include <set>
-#include <thread>
 
 using namespace cjpack;
 
@@ -640,13 +638,6 @@ ShardPlan remapPlanForDictionary(ShardPlan Plan,
   return Out;
 }
 
-/// Workers for a pool whose widest phase has \p Tasks independent
-/// tasks, given \p Threads (0 = one per hardware thread).
-unsigned workerCount(unsigned Threads, size_t Tasks) {
-  size_t Want = Threads ? Threads : ThreadPool::defaultThreadCount();
-  return static_cast<unsigned>(std::min(Want, std::max<size_t>(Tasks, 1)));
-}
-
 /// The archive header \p Options describe, for format \p Version.
 ArchiveHeader archiveHeader(uint8_t Version, const PackOptions &Options) {
   // The whole-archive backend choice; zlib (the default) maps to 0,
@@ -672,9 +663,7 @@ size_t cjpack::autoShardCount(size_t ClassCount) {
   if (ClassCount < 2 * AutoShardClassesPerShard)
     return 1;
   size_t ByWork = ClassCount / AutoShardClassesPerShard;
-  size_t Hw = std::thread::hardware_concurrency();
-  if (Hw == 0)
-    Hw = 1;
+  size_t Hw = ThreadPool::defaultThreadCount();
   return std::min({ByWork, Hw, MaxShards});
 }
 
@@ -730,16 +719,11 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     Next += Len;
   }
 
-  // Everything the pool tasks capture must be declared before the pool:
-  // on an early error return the pool is destroyed first, and its
-  // destructor drains still-queued tasks (a packaged_task future does
-  // not block on destruction), so those tasks must find this state
-  // alive. Telemetry slots are per-shard (each task writes only its own
-  // index) and rolled up after the joins, so tracing adds no sharing.
-  std::vector<ShardPlan> Plans;
-  Plans.reserve(ShardCount);
-  std::vector<ShardPlan> Emit(ShardCount);
-  SharedDictionary Dict;
+  // Each pass writes only its own shard's slots (telemetry included,
+  // rolled up after the last pass) and reports the first failing shard
+  // in shard order, so neither bytes nor errors depend on threads.
+  std::vector<ShardPlan> Plans(ShardCount);
+  std::vector<Error> Failed(ShardCount);
   std::vector<std::array<uint64_t, NumStreams>> ShardItems(ShardCount);
   std::vector<CoderTally> ShardTallies(ShardCount);
   Result.Trace.Shards.resize(ShardCount);
@@ -748,35 +732,24 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     Result.Trace.Shards[K].Classes = Slices[K].size();
   }
 
-  // No more workers than the widest phase has tasks: one per shard in
-  // the codec passes, one per stream (per shard, for version 3) in the
-  // compression batch.
-  size_t StreamTasks =
-      NumStreams * (Options.RandomAccessIndex ? ShardCount : 1);
-  ThreadPool Pool(
-      workerCount(Options.Threads, std::max(ShardCount, StreamTasks)));
-
   // Counting passes run one per shard, concurrently.
   Stopwatch ModelTimer;
-  std::vector<std::future<Expected<ShardPlan>>> PlanFutures;
-  PlanFutures.reserve(ShardCount);
-  for (size_t K = 0; K < ShardCount; ++K)
-    PlanFutures.push_back(Pool.submit([&Slices, &Options, &Result, K] {
-      Stopwatch ShardTimer;
-      auto Plan = countShardPass(Slices[K], Options);
-      Result.Trace.Shards[K].ModelSec = ShardTimer.seconds();
-      return Plan;
-    }));
-  for (auto &F : PlanFutures) {
-    auto Plan = F.get();
-    if (!Plan)
-      return Plan.takeError();
-    Plans.push_back(std::move(*Plan));
-  }
+  parallelFor(ShardCount, Options.Threads, [&](size_t K) {
+    Stopwatch ShardTimer;
+    auto Plan = countShardPass(Slices[K], Options);
+    Result.Trace.Shards[K].ModelSec = ShardTimer.seconds();
+    if (Plan)
+      Plans[K] = std::move(*Plan);
+    else
+      Failed[K] = Plan.takeError();
+  });
+  if (Error E = firstFailure(Failed))
+    return E;
 
   // Factor definitions shared by two or more shards into the
   // dictionary, so shards reference them instead of redefining them.
   // Schemes that cannot preload keep fully independent shards.
+  SharedDictionary Dict;
   if (refSchemeSupportsPreload(Options.Scheme)) {
     Model Standard;
     if (Options.PreloadStandardRefs) {
@@ -794,32 +767,24 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
   Result.Trace.Phases.ModelSec = ModelTimer.seconds();
 
   // Emitting passes, again one per shard, on models rebuilt around the
-  // dictionary's id space.
+  // dictionary's id space. A shard's plan is freed once it has emitted.
   Stopwatch EmitTimer;
-  std::vector<std::future<Expected<StreamSet>>> Futures;
-  Futures.reserve(ShardCount);
-  for (size_t K = 0; K < ShardCount; ++K)
-    Futures.push_back(Pool.submit([&Plans, &Emit, &Dict, &Options, &Result,
-                                   &ShardItems, &ShardTallies, K] {
-      Stopwatch ShardTimer;
-      Emit[K] = Dict.empty()
-                    ? std::move(Plans[K])
-                    : remapPlanForDictionary(std::move(Plans[K]), Dict,
-                                             Options);
-      auto S = emitShardStreams(Emit[K], Dict.empty() ? nullptr : &Dict,
-                                Options, &ShardItems[K], &ShardTallies[K]);
-      Result.Trace.Shards[K].EmitSec = ShardTimer.seconds();
-      return S;
-    }));
-
-  std::vector<StreamSet> ShardStreams;
-  ShardStreams.reserve(ShardCount);
-  for (auto &F : Futures) {
-    auto S = F.get();
-    if (!S)
-      return S.takeError();
-    ShardStreams.push_back(std::move(*S));
-  }
+  std::vector<StreamSet> ShardStreams(ShardCount);
+  parallelFor(ShardCount, Options.Threads, [&](size_t K) {
+    Stopwatch ShardTimer;
+    ShardPlan Plan = Dict.empty() ? std::move(Plans[K])
+                                  : remapPlanForDictionary(
+                                        std::move(Plans[K]), Dict, Options);
+    auto S = emitShardStreams(Plan, Dict.empty() ? nullptr : &Dict, Options,
+                              &ShardItems[K], &ShardTallies[K]);
+    Result.Trace.Shards[K].EmitSec = ShardTimer.seconds();
+    if (S)
+      ShardStreams[K] = std::move(*S);
+    else
+      Failed[K] = S.takeError();
+  });
+  if (Error E = firstFailure(Failed))
+    return E;
   Result.Trace.Phases.EmitSec = EmitTimer.seconds();
 
   // Only now does the format version matter: every version shares the
@@ -849,7 +814,7 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     // random access.
     std::vector<std::vector<uint8_t>> Blobs =
         serializeStreamSets(ShardStreams, Options.backendPlan(),
-                            &Result.Sizes, &Pool, DictTask);
+                            &Result.Sizes, Options.Threads, DictTask);
     ArchiveIndex Index;
     uint64_t Offset = 0;
     auto Name = IndexNames.begin(); // the slices tile Ordered in order
@@ -870,8 +835,9 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     for (const std::vector<uint8_t> &B : Blobs)
       W.writeBytes(B);
   } else if (Version == FormatVersionSharded) {
-    std::vector<uint8_t> Container = serializeShardedStreams(
-        ShardStreams, Options.backendPlan(), &Result.Sizes, &Pool, DictTask);
+    std::vector<uint8_t> Container =
+        serializeShardedStreams(ShardStreams, Options.backendPlan(),
+                                &Result.Sizes, Options.Threads, DictTask);
     WriteDictionary();
     W.writeBytes(Container);
   } else {
@@ -879,7 +845,7 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     // one shard shares definitions with nobody.
     assert(Dict.empty() && "a single shard has no shared dictionary");
     W.writeBytes(ShardStreams[0].serialize(Options.backendPlan(),
-                                           &Result.Sizes, &Pool));
+                                           &Result.Sizes, Options.Threads));
   }
   Result.Archive = W.take();
   Result.Trace.Phases.DeflateSec = DeflateTimer.seconds();
@@ -894,45 +860,24 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
 namespace {
 
 /// Parses each of \p Classes into the same slot of \p Parsed, and
-/// prepares it when \p Prepare, on the calling thread and up to
-/// \p Threads - 1 pool workers (0 = one per hardware thread); one thread
-/// runs inline and creates no pool. Classes parse independently; the
-/// error returned is the first failing class's in input order, whatever
-/// the thread count.
+/// prepares it when \p Prepare, on parallelFor's \p Threads. Classes
+/// parse independently; the error returned is the first failing class's
+/// in input order, whatever the thread count.
 Error parseForPacking(const std::vector<NamedClass> &Classes,
                       std::vector<ClassFile> &Parsed, unsigned Threads,
                       bool Prepare) {
   std::vector<Error> Failed(Classes.size());
-  std::atomic<size_t> Next{0};
-  auto Drain = [&Classes, &Parsed, &Failed, &Next, Prepare] {
-    for (size_t I; (I = Next.fetch_add(1)) < Classes.size();) {
-      const NamedClass &C = Classes[I];
-      auto CF = parseClassFile(C.Data);
-      if (!CF)
-        Failed[I] = Error::failure(CF.code(), C.Name + ": " + CF.message());
-      else if (Error E = Prepare ? prepareForPacking(*CF) : Error())
-        Failed[I] = Error::failure(E.code(), C.Name + ": " + E.message());
-      else
-        Parsed[I] = std::move(*CF);
-    }
-  };
-  unsigned Workers = workerCount(Threads, Classes.size());
-  if (Workers <= 1) {
-    Drain();
-  } else {
-    ThreadPool Pool(Workers - 1);
-    std::vector<std::future<void>> Done;
-    Done.reserve(Workers - 1);
-    for (unsigned I = 1; I < Workers; ++I)
-      Done.push_back(Pool.submit(Drain));
-    Drain();
-    for (std::future<void> &F : Done)
-      F.get();
-  }
-  for (Error &E : Failed)
-    if (E)
-      return E;
-  return Error::success();
+  parallelFor(Classes.size(), Threads, [&](size_t I) {
+    const NamedClass &C = Classes[I];
+    auto CF = parseClassFile(C.Data);
+    if (!CF)
+      Failed[I] = Error::failure(CF.code(), C.Name + ": " + CF.message());
+    else if (Error E = Prepare ? prepareForPacking(*CF) : Error())
+      Failed[I] = Error::failure(E.code(), C.Name + ": " + E.message());
+    else
+      Parsed[I] = std::move(*CF);
+  });
+  return firstFailure(Failed);
 }
 
 /// The StripUnreferenced gate: the packed archive must restore exactly

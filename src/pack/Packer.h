@@ -84,10 +84,11 @@ struct PackOptions {
   /// hardware_concurrency — use an explicit count when archives must
   /// reproduce across machines.
   unsigned Shards = 1;
-  /// Worker threads for the parallel stages (0 = one per hardware
-  /// thread): per-class parse in packClassBytes, the per-shard codec
-  /// passes, and per-stream compression. Capped at the widest stage's
-  /// task count. Has no effect on the bytes.
+  /// Threads for each parallel stage (0 = one per hardware thread):
+  /// per-class parse in packClassBytes, the per-shard model and emit
+  /// passes, and per-stream compression. Each stage runs on the calling
+  /// thread plus up to Threads - 1 helpers, capped at that stage's task
+  /// count; 1 starts no thread. Has no effect on the bytes or errors.
   unsigned Threads = 0;
   /// Drop private members that no reference anywhere in the archive
   /// resolves to, before encoding (analysis/ArchiveAnalysis.h). The
@@ -169,7 +170,7 @@ Expected<PackResult> packClasses(const std::vector<ClassFile> &Classes,
                                  const PackOptions &Options);
 
 /// Parses and packs raw classfiles. Classes parse concurrently on
-/// Options.Threads workers; a class that fails is reported as
+/// Options.Threads threads; a class that fails is reported as
 /// "<name>: <error>", the first such class in input order whatever the
 /// thread count.
 Expected<PackResult> packClassBytes(const std::vector<NamedClass> &Classes,
@@ -189,9 +190,10 @@ Error prepareForPacking(ClassFile &CF);
 /// make the decoder allocate or compute; the defaults accommodate any
 /// real archive, and every violation is a typed LimitExceeded error.
 struct UnpackOptions {
-  /// Worker threads used to decode shards, of version-2 and version-3
-  /// archives alike (0 = one per hardware thread). Has no effect on the
-  /// result.
+  /// Threads that decode shards, of version-2 and version-3 archives
+  /// alike (0 = one per hardware thread): the calling thread plus up to
+  /// Threads - 1 helpers, capped at the shard count; 1 starts no
+  /// thread. Has no effect on the classes or the error.
   unsigned Threads = 0;
   /// Resource caps enforced against every wire-declared length/count.
   DecodeLimits Limits;
@@ -199,7 +201,7 @@ struct UnpackOptions {
 
 /// Unpacks an archive of any format version into classfile models, in
 /// archive order. Sharded archives decode their shards on \p Threads
-/// workers (0 = one per hardware thread); version 3 goes through
+/// threads (UnpackOptions::Threads); version 3 goes through
 /// PackedArchiveReader::unpackAll, so every index check runs. Each call
 /// charges one DecodeBudget, built from the limits, for every inflate
 /// on every version, so Limits.MaxInflateBytes bounds the whole decode.
@@ -245,6 +247,14 @@ void parseClassSet(const std::vector<NamedClass> &Classes,
                    std::vector<ClassFile> &Parsed,
                    std::vector<std::string> &Names,
                    std::vector<analysis::Diagnostic> &Diags);
+
+/// Verifies \p Classes as one class set: builds their ClassHierarchy
+/// once, so reference joins meet at the least common superclass, and
+/// runs analysis::verifyClass on each class against it. Returns each
+/// class's diagnostics, parallel to \p Classes. packtool verify and
+/// cjpackd's verify request both run this.
+std::vector<std::vector<analysis::Diagnostic>>
+verifyClassSet(const std::vector<ClassFile> &Classes);
 
 /// The §12 signing workflow: decompresses \p Archive and digests the
 /// resulting classfiles into a manifest. The sender runs this right

@@ -48,31 +48,16 @@ struct PackedStream {
 /// Runs packStream over a batch of raw streams: whole stream sets laid
 /// end to end, so \p Raw[I] is stream I % NumStreams and compresses
 /// with that stream's planned backend. \p Extra, when given, is one
-/// more task. Tasks are independent compression units, so on \p Pool
-/// (when it has more than one worker) they compress concurrently, the
-/// largest first so the few long ones start early. The results come
-/// back in batch order either way, so the bytes never depend on the
-/// schedule.
+/// more task. Tasks are independent compression units, so they
+/// compress concurrently on parallelFor's \p Threads, the largest
+/// first so the few long ones start early. Each result lands in its
+/// batch slot, so the bytes never depend on the schedule.
 std::vector<PackedStream>
 packStreams(std::span<const std::vector<uint8_t> *const> Raw,
-            const BackendPlan &Plan, ThreadPool *Pool, BatchExtra *Extra) {
+            const BackendPlan &Plan, unsigned Threads, BatchExtra *Extra) {
   std::vector<PackedStream> Out(Raw.size());
   // Task I < Raw.size() packs stream I; task Raw.size() is Extra.
   size_t Tasks = Raw.size() + (Extra ? 1 : 0);
-  auto Run = [&Raw, &Plan, &Out, Extra](size_t I) {
-    if (I == Raw.size()) {
-      Extra->Out = Extra->Compress(Extra->Raw);
-      return;
-    }
-    Out[I].Method = packStream(Plan.Stream[I % NumStreams],
-                               static_cast<StreamId>(I % NumStreams),
-                               Plan.Scheme, *Raw[I], Out[I].Compressed);
-  };
-  if (!Pool || Pool->size() < 2) {
-    for (size_t I = 0; I < Tasks; ++I)
-      Run(I);
-    return Out;
-  }
   auto Size = [&Raw, Extra](size_t I) {
     return I == Raw.size() ? Extra->Raw.size() : Raw[I]->size();
   };
@@ -81,16 +66,16 @@ packStreams(std::span<const std::vector<uint8_t> *const> Raw,
   std::stable_sort(Order.begin(), Order.end(), [&Size](size_t A, size_t B) {
     return Size(A) > Size(B);
   });
-  std::vector<std::future<void>> Done;
-  Done.reserve(Order.size());
-  for (size_t I : Order)
-    Done.push_back(Pool->submit([&Run, I] { Run(I); }));
-  // Wait for every task before get() can rethrow: the tasks write into
-  // this frame's state.
-  for (std::future<void> &F : Done)
-    F.wait();
-  for (std::future<void> &F : Done)
-    F.get();
+  parallelFor(Tasks, Threads, [&](size_t J) {
+    size_t I = Order[J];
+    if (I == Raw.size()) {
+      Extra->Out = Extra->Compress(Extra->Raw);
+      return;
+    }
+    Out[I].Method = packStream(Plan.Stream[I % NumStreams],
+                               static_cast<StreamId>(I % NumStreams),
+                               Plan.Scheme, *Raw[I], Out[I].Compressed);
+  });
   return Out;
 }
 
@@ -204,7 +189,7 @@ Expected<StoredStream> cjpack::readStreamEntry(ByteReader &R, unsigned Id,
 std::vector<uint8_t>
 cjpack::serializeShardedStreams(const std::vector<StreamSet> &Shards,
                                 const BackendPlan &Plan, StreamSizes *Sizes,
-                                ThreadPool *Pool, BatchExtra *Extra) {
+                                unsigned Threads, BatchExtra *Extra) {
   std::vector<std::vector<uint8_t>> Joined(NumStreams);
   std::vector<const std::vector<uint8_t> *> Batch;
   Batch.reserve(NumStreams);
@@ -215,7 +200,7 @@ cjpack::serializeShardedStreams(const std::vector<StreamSet> &Shards,
     }
     Batch.push_back(&Joined[I]);
   }
-  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Pool, Extra);
+  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Threads, Extra);
 
   ByteWriter W;
   writeVarUInt(W, Shards.size());
@@ -268,20 +253,20 @@ cjpack::deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits,
 
 std::vector<uint8_t> StreamSet::serialize(const BackendPlan &Plan,
                                           StreamSizes *Sizes,
-                                          ThreadPool *Pool) const {
-  return std::move(serializeStreamSets({this, 1}, Plan, Sizes, Pool)[0]);
+                                          unsigned Threads) const {
+  return std::move(serializeStreamSets({this, 1}, Plan, Sizes, Threads)[0]);
 }
 
 std::vector<std::vector<uint8_t>>
 cjpack::serializeStreamSets(std::span<const StreamSet> Sets,
                             const BackendPlan &Plan, StreamSizes *Sizes,
-                            ThreadPool *Pool, BatchExtra *Extra) {
+                            unsigned Threads, BatchExtra *Extra) {
   std::vector<const std::vector<uint8_t> *> Batch;
   Batch.reserve(Sets.size() * NumStreams);
   for (const StreamSet &S : Sets)
     for (unsigned I = 0; I < NumStreams; ++I)
       Batch.push_back(&S.raw(static_cast<StreamId>(I)));
-  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Pool, Extra);
+  std::vector<PackedStream> Packed = packStreams(Batch, Plan, Threads, Extra);
 
   std::vector<std::vector<uint8_t>> Out;
   Out.reserve(Sets.size());

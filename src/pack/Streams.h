@@ -32,8 +32,6 @@
 
 namespace cjpack {
 
-class ThreadPool;
-
 /// Wire-format versions, written in the archive header after the
 /// magic. Version 1 is the original single-shard layout: header, then
 /// one serialized StreamSet. Version 2 is the sharded layout: header,
@@ -337,10 +335,11 @@ public:
   /// raw size, stored size) followed by the bytes as stored by the
   /// stream's planned backend (falling back to store when compression
   /// does not strictly shrink). The accounting is added to \p Sizes.
-  /// The streams compress on \p Pool's workers when given; the bytes
-  /// are the same without it.
+  /// The streams compress on the calling thread plus up to
+  /// \p Threads - 1 helpers (parallelFor, support/ThreadPool.h; 0 = one
+  /// per hardware thread); the bytes are the same for any count.
   std::vector<uint8_t> serialize(const BackendPlan &Plan, StreamSizes *Sizes,
-                                 ThreadPool *Pool = nullptr) const;
+                                 unsigned Threads = 1) const;
 
   /// Parses bytes produced by serialize. Declared lengths are checked
   /// against \p Limits.MaxStreamBytes before any allocation, and
@@ -390,11 +389,11 @@ struct BatchExtra {
 
 /// Serializes each of \p Sets as StreamSet::serialize does, compressing
 /// every set's streams (and \p Extra, when given) as one batch on
-/// \p Pool (when given), so the version-3 shard blobs compress
+/// \p Threads threads, so the version-3 shard blobs compress
 /// concurrently. The accounting of all sets is added to \p Sizes.
 std::vector<std::vector<uint8_t>>
 serializeStreamSets(std::span<const StreamSet> Sets, const BackendPlan &Plan,
-                    StreamSizes *Sizes, ThreadPool *Pool = nullptr,
+                    StreamSizes *Sizes, unsigned Threads = 1,
                     BatchExtra *Extra = nullptr);
 
 /// Serializes \p Shards into the version-2 grouped stream container.
@@ -407,12 +406,11 @@ serializeStreamSets(std::span<const StreamSet> Sets, const BackendPlan &Plan,
 /// stored length, stored bytes. The container is a pure function of the
 /// shards' contents. \p Sizes receives the per-stream accounting, with
 /// each stream charged its own directory header. The joined streams,
-/// and \p Extra when given, compress as one batch on \p Pool's workers
-/// when given.
+/// and \p Extra when given, compress as one batch on \p Threads
+/// threads.
 std::vector<uint8_t> serializeShardedStreams(
     const std::vector<StreamSet> &Shards, const BackendPlan &Plan,
-    StreamSizes *Sizes, ThreadPool *Pool = nullptr,
-    BatchExtra *Extra = nullptr);
+    StreamSizes *Sizes, unsigned Threads = 1, BatchExtra *Extra = nullptr);
 
 /// Parses a container written by serializeShardedStreams back into
 /// per-shard stream sets, validating the shard count and every

@@ -6,7 +6,6 @@
 
 #include "serve/Server.h"
 #include "analysis/ArchiveAnalysis.h"
-#include "analysis/Verifier.h"
 #include "pack/Packer.h"
 #include "pack/Stats.h"
 #include "zip/ZipFile.h"
@@ -223,10 +222,9 @@ Response Server::handle(const Request &Req) {
     auto Parsed = loadAndParse(Req.Args[0], Config.RequestLimits, Diags);
     if (!Parsed)
       return Response::fail(Parsed.takeError());
-    analysis::ClassHierarchy H = analysis::ClassHierarchy::build(*Parsed);
     size_t NumDiags = Diags.size();
-    for (const ClassFile &CF : *Parsed)
-      NumDiags += analysis::verifyClass(CF, &H).Diags.size();
+    for (const std::vector<analysis::Diagnostic> &D : verifyClassSet(*Parsed))
+      NumDiags += D.size();
     return Response::ok("verified " +
                         std::to_string(Parsed->size() + Diags.size()) +
                         " classes, " + std::to_string(NumDiags) +

@@ -17,11 +17,14 @@
 ///   - one accept thread polls the listeners plus a self-pipe;
 ///   - each connection gets a reader thread (frame parsing, request
 ///     dispatch) and a writer thread (responses, in request order);
-///   - handler work runs on one shared ThreadPool, so a slow request on
-///     one connection never starves another connection's requests, and
+///   - handler work runs on one shared ThreadPool, whose workers take
+///     requests from one FIFO queue, so a slow request on one
+///     connection never starves another connection's requests, and
 ///     MaxInFlightPerConn bounds how many requests one client may have
 ///     queued (the reader blocks past the cap — backpressure, not
-///     disconnect).
+///     disconnect);
+///   - a handler's library call runs at Threads = 1, so it starts no
+///     thread of its own: parallelism comes from concurrent requests.
 ///
 /// Isolation: every request decodes under its own DecodeBudget, built
 /// from ServerConfig::RequestLimits by the library call it makes

@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace cjpack {
 
@@ -152,6 +153,17 @@ inline Error makeError(std::string Msg) {
 /// Builds a classified failure Error.
 inline Error makeError(ErrorCode Code, std::string Msg) {
   return Error::failure(Code, std::move(Msg));
+}
+
+/// Moves out the first failure of \p Errors in index order, or returns
+/// success. The parallel stages keep one slot per task and report
+/// through this, so the error a caller sees never depends on which task
+/// finished first.
+inline Error firstFailure(std::vector<Error> &Errors) {
+  for (Error &E : Errors)
+    if (E)
+      return std::move(E);
+  return Error::success();
 }
 
 } // namespace cjpack

@@ -1,35 +1,42 @@
-//===- ThreadPool.h - work-stealing thread pool ----------------*- C++ -*-===//
+//===- ThreadPool.h - parallel loop and FIFO thread pool -------*- C++ -*-===//
 //
 // Part of cjpack. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the sharded pack/unpack
-/// pipeline. Each worker owns a deque; submissions are distributed
-/// round-robin and idle workers steal from the opposite end of their
-/// peers' deques, so a handful of coarse shard tasks balances even when
-/// shard costs are skewed.
+/// The two ways cjpack runs work in parallel.
 ///
-/// submit() returns a std::future, so results and exceptions propagate
-/// to the caller; the destructor drains every queued task before
-/// joining (shutdown never drops submitted work). The pool itself is
-/// scheduling-dependent, which is why the pack pipeline assigns work to
-/// shards by stable class order and only uses the pool to *execute*
-/// shards — archive bytes never depend on thread timing.
+/// parallelFor is the one loop every parallel stage of pack and unpack
+/// runs on: parse, the model and emit passes, the compression batch,
+/// and the version-2 and version-3 shard decodes. The calling thread
+/// takes part, helper threads live only for the call, and each stage
+/// writes its results into per-index slots and reports the first
+/// failure in index order. Which thread runs which index depends on
+/// scheduling; what a stage returns does not, so archive bytes and
+/// errors never depend on the thread count.
+///
+/// ThreadPool is cjpackd's handler pool: long-lived workers taking
+/// tasks from one FIFO queue. submit() returns a std::future, so
+/// results and exceptions propagate to the caller; the destructor
+/// drains every queued task before joining (shutdown never drops
+/// submitted work).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CJPACK_SUPPORT_THREADPOOL_H
 #define CJPACK_SUPPORT_THREADPOOL_H
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -42,12 +49,9 @@ public:
   explicit ThreadPool(unsigned ThreadCount = 0) {
     if (ThreadCount == 0)
       ThreadCount = defaultThreadCount();
-    Workers.reserve(ThreadCount);
-    for (unsigned I = 0; I < ThreadCount; ++I)
-      Workers.push_back(std::make_unique<Worker>());
     Threads.reserve(ThreadCount);
     for (unsigned I = 0; I < ThreadCount; ++I)
-      Threads.emplace_back([this, I] { workerLoop(I); });
+      Threads.emplace_back([this] { workerLoop(); });
   }
 
   ThreadPool(const ThreadPool &) = delete;
@@ -56,10 +60,10 @@ public:
   /// Runs every task already submitted, then joins the workers.
   ~ThreadPool() {
     {
-      std::lock_guard<std::mutex> Lock(SleepMutex);
+      std::lock_guard<std::mutex> Lock(Mutex);
       Stopping = true;
     }
-    SleepCv.notify_all();
+    Cv.notify_all();
     for (std::thread &T : Threads)
       T.join();
   }
@@ -72,89 +76,91 @@ public:
     return N == 0 ? 1 : N;
   }
 
-  /// Enqueues \p F for execution. The returned future delivers F's
-  /// result, or rethrows whatever F threw.
+  /// Enqueues \p F behind every task submitted before it. The returned
+  /// future delivers F's result, or rethrows whatever F threw.
   template <typename Fn>
   std::future<std::invoke_result_t<Fn>> submit(Fn &&F) {
     using R = std::invoke_result_t<Fn>;
     auto Task =
         std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(F));
     std::future<R> Result = Task->get_future();
-    Worker &W = *Workers[NextQueue++ % Workers.size()];
-    // Count the task before publishing it: a spinning worker can pop
-    // and run it the moment it lands in the queue, and its decrement
-    // must never observe QueuedTasks == 0 (a size_t underflow would
-    // busy-wake sleepers and stall the destructor's drain-and-join).
     {
-      std::lock_guard<std::mutex> Lock(SleepMutex);
-      ++QueuedTasks;
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Queue.emplace_back([Task] { (*Task)(); });
     }
-    {
-      std::lock_guard<std::mutex> Lock(W.Mutex);
-      W.Queue.emplace_back([Task] { (*Task)(); });
-    }
-    SleepCv.notify_one();
+    Cv.notify_one();
     return Result;
   }
 
 private:
-  struct Worker {
-    std::mutex Mutex;
-    std::deque<std::function<void()>> Queue;
-  };
-
-  /// Pops from the front of worker \p I's own queue.
-  bool popLocal(unsigned I, std::function<void()> &Out) {
-    Worker &W = *Workers[I];
-    std::lock_guard<std::mutex> Lock(W.Mutex);
-    if (W.Queue.empty())
-      return false;
-    Out = std::move(W.Queue.front());
-    W.Queue.pop_front();
-    return true;
-  }
-
-  /// Steals from the back of some other worker's queue.
-  bool steal(unsigned Self, std::function<void()> &Out) {
-    for (unsigned K = 1; K < Workers.size(); ++K) {
-      Worker &W = *Workers[(Self + K) % Workers.size()];
-      std::lock_guard<std::mutex> Lock(W.Mutex);
-      if (W.Queue.empty())
-        continue;
-      Out = std::move(W.Queue.back());
-      W.Queue.pop_back();
-      return true;
-    }
-    return false;
-  }
-
-  void workerLoop(unsigned I) {
-    std::function<void()> Task;
+  void workerLoop() {
     while (true) {
-      if (popLocal(I, Task) || steal(I, Task)) {
-        {
-          std::lock_guard<std::mutex> Lock(SleepMutex);
-          --QueuedTasks;
-        }
-        Task();
-        Task = nullptr;
-        continue;
+      std::function<void()> Task;
+      {
+        std::unique_lock<std::mutex> Lock(Mutex);
+        Cv.wait(Lock, [this] { return Stopping || !Queue.empty(); });
+        if (Queue.empty())
+          return; // stopping, and the backlog is drained
+        Task = std::move(Queue.front());
+        Queue.pop_front();
       }
-      std::unique_lock<std::mutex> Lock(SleepMutex);
-      SleepCv.wait(Lock, [this] { return Stopping || QueuedTasks > 0; });
-      if (QueuedTasks == 0 && Stopping)
-        return;
+      Task();
     }
   }
 
-  std::vector<std::unique_ptr<Worker>> Workers;
+  std::mutex Mutex;
+  std::condition_variable Cv;
+  std::deque<std::function<void()>> Queue; ///< guarded by Mutex
+  bool Stopping = false;                   ///< guarded by Mutex
   std::vector<std::thread> Threads;
-  std::atomic<uint64_t> NextQueue{0};
-  std::mutex SleepMutex;
-  std::condition_variable SleepCv;
-  size_t QueuedTasks = 0; ///< guarded by SleepMutex
-  bool Stopping = false;  ///< guarded by SleepMutex
 };
+
+/// Runs Body(I) for every I < N on the calling thread plus up to
+/// min(Threads, N) - 1 helper threads (Threads = 0: one per hardware
+/// thread). The threads claim indices from one shared counter. One
+/// thread, or N <= 1, runs every index inline, in order, and starts no
+/// thread. Returns only after every helper has joined, so Body may
+/// capture the caller's frame by reference. If Body throws, no further
+/// index is claimed, and the first exception caught is rethrown here
+/// once every helper has joined.
+template <typename Fn> void parallelFor(size_t N, unsigned Threads, Fn &&Body) {
+  if (Threads == 0)
+    Threads = ThreadPool::defaultThreadCount();
+  size_t Width = std::min<size_t>(Threads, N);
+  if (Width <= 1) {
+    for (size_t I = 0; I < N; ++I)
+      Body(I);
+    return;
+  }
+  std::atomic<size_t> Next{0};
+  std::mutex FailureMutex;
+  std::exception_ptr Failure; ///< guarded by FailureMutex
+  auto Drain = [&] {
+    try {
+      for (size_t I; (I = Next.fetch_add(1)) < N;)
+        Body(I);
+    } catch (...) {
+      Next.store(N);
+      std::lock_guard<std::mutex> Lock(FailureMutex);
+      if (!Failure)
+        Failure = std::current_exception();
+    }
+  };
+  std::vector<std::thread> Helpers;
+  Helpers.reserve(Width - 1);
+  try {
+    for (size_t T = 1; T < Width; ++T)
+      Helpers.emplace_back(Drain);
+  } catch (const std::system_error &) {
+    // Fewer helpers than asked for: the threads already started and the
+    // caller still claim every index.
+  }
+  Drain();
+  for (std::thread &T : Helpers)
+    T.join();
+  if (Failure)
+    std::rethrow_exception(Failure);
+}
 
 } // namespace cjpack
 

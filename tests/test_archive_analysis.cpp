@@ -383,6 +383,42 @@ TEST(TypedJoins, BranchArmsMeetAtLeastCommonSuperclass) {
     }
 }
 
+// verifyClassSet, which packtool verify and cjpackd's verify request
+// run, is verifyClass against the hierarchy of the whole set.
+TEST(TypedJoins, VerifyClassSetMatchesVerifyClassWithTheSetsHierarchy) {
+  std::vector<ClassFile> Classes;
+  Classes.push_back(mkClass("pkg/B"));
+  Classes.push_back(mkClass("pkg/D1", "pkg/B"));
+  // pkg/Bad.broken()V pops from an empty stack.
+  ClassFile Bad = mkClass("pkg/Bad", "pkg/D1");
+  CodeAttribute Code;
+  Code.MaxStack = 1;
+  Code.Code = Bad.arena().copy(std::vector<uint8_t>{
+      static_cast<uint8_t>(Op::Pop), static_cast<uint8_t>(Op::Return)});
+  MemberInfo M;
+  M.AccessFlags = AccPublic | AccStatic;
+  M.NameIndex = Bad.CP.addUtf8("broken");
+  M.DescriptorIndex = Bad.CP.addUtf8("()V");
+  M.Attributes.push_back(encodeCodeAttribute(Code, Bad.CP));
+  Bad.Methods.push_back(std::move(M));
+  Classes.push_back(std::move(Bad));
+
+  std::vector<std::vector<Diagnostic>> Got = verifyClassSet(Classes);
+  ASSERT_EQ(Got.size(), Classes.size());
+  ClassHierarchy H = ClassHierarchy::build(Classes);
+  for (size_t K = 0; K < Classes.size(); ++K) {
+    std::vector<std::string> Want, Have;
+    for (const Diagnostic &D : verifyClass(Classes[K], &H).Diags)
+      Want.push_back(formatDiagnostic(D));
+    for (const Diagnostic &D : Got[K])
+      Have.push_back(formatDiagnostic(D));
+    EXPECT_EQ(Have, Want) << "class " << K;
+  }
+  EXPECT_TRUE(Got[0].empty());
+  EXPECT_TRUE(Got[1].empty());
+  EXPECT_EQ(countKind(Got[2], DiagKind::StackUnderflow), 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Corpus integration: all styles lint clean, knobs seed what they claim
 //===----------------------------------------------------------------------===//

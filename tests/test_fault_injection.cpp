@@ -148,10 +148,32 @@ void expectValidCanonical(const std::vector<ClassFile> &Classes,
 }
 
 /// Decodes one hostile archive variant; the only acceptable outcomes
-/// are a typed decode-taxonomy error or valid, canonical classes.
+/// are a typed decode-taxonomy error or valid, canonical classes. A
+/// version-2 variant decodes its shards in parallel, so it is decoded
+/// on four threads too, which must give the same classes or the same
+/// error.
 void expectCleanUnpack(const std::vector<uint8_t> &Bytes,
                        const char *What, size_t Detail) {
   auto Classes = unpackClasses(Bytes, testOptions());
+  if (Bytes.size() > 4 && Bytes[4] == FormatVersionSharded) {
+    UnpackOptions Four = testOptions();
+    Four.Threads = 4;
+    auto Parallel = unpackClasses(Bytes, Four);
+    ASSERT_EQ(static_cast<bool>(Parallel), static_cast<bool>(Classes))
+        << What << " at " << Detail << ": thread count changed the outcome";
+    if (!Classes) {
+      EXPECT_EQ(Parallel.code(), Classes.code()) << What << " at " << Detail;
+      EXPECT_EQ(Parallel.message(), Classes.message())
+          << What << " at " << Detail;
+    } else {
+      ASSERT_EQ(Parallel->size(), Classes->size())
+          << What << " at " << Detail;
+      for (size_t I = 0; I < Classes->size(); ++I)
+        EXPECT_EQ(writeClassFile((*Parallel)[I]),
+                  writeClassFile((*Classes)[I]))
+            << What << " at " << Detail << ": class " << I;
+    }
+  }
   if (Classes) {
     expectValidCanonical(*Classes, What, Detail);
     return;

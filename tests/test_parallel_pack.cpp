@@ -14,6 +14,7 @@
 
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
+#include "pack/ClassOrder.h"
 #include "pack/Dictionary.h"
 #include "pack/Packer.h"
 #include "pack/Streams.h"
@@ -173,6 +174,50 @@ TEST(ParallelPack, ArchiveBytesAreDeterministic) {
   EXPECT_EQ(BadOne.message().rfind(Raw[5].Name + ": ", 0), 0u)
       << BadOne.message();
   EXPECT_EQ(BadEight.message(), BadOne.message());
+}
+
+// Every parallel stage keeps one result slot per task and reports the
+// first failing task in index order, so the error does not depend on
+// which shard fails first. Two classes fail lowering with different
+// messages, one in shard 1 and one in shard 3; every thread count
+// reports shard 1's.
+TEST(ParallelPack, FirstFailingShardWinsAtAnyThreadCount) {
+  auto Classes = preparedCorpus(7011, 8);
+  // A field name that is no pool entry at all is Corrupt where lowering
+  // reads it; the index is in the message.
+  auto BreakFieldName = [](ClassFile &CF, uint16_t BadIndex) {
+    ASSERT_LT(CF.CP.count(), BadIndex);
+    MemberInfo F;
+    F.AccessFlags = AccPrivate;
+    F.NameIndex = BadIndex;
+    F.DescriptorIndex = CF.CP.addUtf8("I");
+    CF.Fields.push_back(std::move(F));
+  };
+  // Shards slice the eager-loading order, two classes each: positions
+  // 2-3 are shard 1 and 6-7 shard 3. Adding a field moves no class in
+  // that order.
+  std::vector<size_t> Order = eagerLoadOrder(Classes);
+  BreakFieldName(Classes[Order[2]], 65000);
+  BreakFieldName(Classes[Order[6]], 65001);
+  ASSERT_EQ(eagerLoadOrder(Classes), Order);
+
+  PackOptions O;
+  O.Shards = 4;
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    O.Threads = Threads;
+    auto Packed = packClasses(Classes, O);
+    ASSERT_FALSE(static_cast<bool>(Packed)) << "threads " << Threads;
+    EXPECT_EQ(Packed.code(), ErrorCode::Corrupt) << "threads " << Threads;
+    EXPECT_NE(Packed.message().find("index 65000 "), std::string::npos)
+        << "threads " << Threads << ": " << Packed.message();
+  }
+  // Shard 3's class fails on its own, with its own message.
+  PackOptions One;
+  One.Threads = 1;
+  auto Alone = packClasses({Classes[Order[6]]}, One);
+  ASSERT_FALSE(static_cast<bool>(Alone));
+  EXPECT_NE(Alone.message().find("index 65001 "), std::string::npos)
+      << Alone.message();
 }
 
 TEST(ParallelPack, ShardCountClampsToClassCount) {

@@ -1,14 +1,17 @@
-//===- test_threadpool.cpp - work-stealing thread pool tests --------------===//
+//===- test_threadpool.cpp - thread pool and parallel loop tests ----------===//
 //
 // Part of cjpack. MIT license.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/ThreadPool.h"
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <gtest/gtest.h>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -113,9 +116,8 @@ TEST(ThreadPool, ConcurrentSubmittersRaceShutdown) {
 }
 
 TEST(ThreadPool, WorkersStealSkewedBacklog) {
-  // One long task pins a worker; round-robin still parks half the
-  // small tasks behind it, so completion requires the idle worker to
-  // steal them.
+  // One long task pins a worker; the small tasks queued behind it must
+  // all run on the other worker meanwhile, not wait for the long one.
   std::atomic<int> Small{0};
   {
     ThreadPool Pool(2);
@@ -125,4 +127,82 @@ TEST(ThreadPool, WorkersStealSkewedBacklog) {
       Pool.submit([&Small] { ++Small; });
   }
   EXPECT_EQ(Small.load(), 32);
+}
+
+TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
+  for (size_t N : {size_t(0), size_t(1), size_t(7), size_t(1000)})
+    for (unsigned Threads : {0u, 1u, 2u, 8u}) {
+      std::vector<std::atomic<int>> Runs(N);
+      parallelFor(N, Threads, [&Runs](size_t I) { ++Runs[I]; });
+      for (size_t I = 0; I < N; ++I)
+        EXPECT_EQ(Runs[I].load(), 1)
+            << "N " << N << " threads " << Threads << " index " << I;
+    }
+}
+
+TEST(ParallelFor, OneThreadRunsInlineInOrder) {
+  std::thread::id Caller = std::this_thread::get_id();
+  std::vector<size_t> Order;
+  parallelFor(100, 1, [&Order, Caller](size_t I) {
+    EXPECT_EQ(std::this_thread::get_id(), Caller);
+    Order.push_back(I);
+  });
+  std::vector<size_t> Want(100);
+  std::iota(Want.begin(), Want.end(), size_t{0});
+  EXPECT_EQ(Order, Want);
+}
+
+TEST(ParallelFor, NoMoreThreadsThanTasksOrThreads) {
+  for (size_t N : {size_t(1), size_t(3), size_t(1000)})
+    for (unsigned Threads : {0u, 1u, 2u, 8u}) {
+      std::mutex Mu;
+      std::set<std::thread::id> Ids;
+      parallelFor(N, Threads, [&](size_t) {
+        // Long enough that idle helpers would be seen taking indices.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        std::lock_guard<std::mutex> Lock(Mu);
+        Ids.insert(std::this_thread::get_id());
+      });
+      unsigned Width = Threads ? Threads : ThreadPool::defaultThreadCount();
+      EXPECT_LE(Ids.size(), std::min<size_t>(Width, N))
+          << "N " << N << " threads " << Threads;
+      if (N == 1 || Width == 1) {
+        ASSERT_EQ(Ids.size(), 1u);
+        EXPECT_EQ(*Ids.begin(), std::this_thread::get_id());
+      }
+    }
+}
+
+TEST(ParallelFor, ThrowingBodyRethrowsOnCallerAfterEveryBodyEnds) {
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    std::atomic<int> Running{0};
+    std::atomic<int> Finished{0};
+    EXPECT_THROW(
+        {
+          try {
+            parallelFor(64, Threads, [&](size_t I) {
+              ++Running;
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              if (I == 5) {
+                --Running;
+                throw std::runtime_error("index 5 failed");
+              }
+              ++Finished;
+              --Running;
+            });
+          } catch (const std::runtime_error &E) {
+            EXPECT_STREQ(E.what(), "index 5 failed");
+            throw;
+          }
+        },
+        std::runtime_error)
+        << "threads " << Threads;
+    EXPECT_EQ(Running.load(), 0) << "threads " << Threads;
+    int After = Finished.load();
+    if (Threads == 1) {
+      EXPECT_EQ(After, 5); // inline, in order, stopping at the throw
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(Finished.load(), After) << "threads " << Threads;
+  }
 }
